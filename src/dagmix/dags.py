@@ -72,10 +72,10 @@ class Dag:
         if self.class_tag == CLASS_SPANNING_TREE:
             if self.root is None or orphans != [self.root]:
                 raise ValueError("spanning tree must have exactly one orphan, the root")
+            # With acyclicity, one parent per non-root vertex means every
+            # parent path ends at the root: the skeleton is a spanning tree.
             if any(len(self.parents[v]) != 1 for v in range(self.n) if v != self.root):
                 raise ValueError("spanning tree vertices must have exactly one parent")
-            if self.num_edges() != self.n - 1 or not is_connected(skeleton(self)):
-                raise ValueError("spanning tree skeleton must be a tree")
         elif self.class_tag == CLASS_ROOTED:
             if self.root is None or orphans != [self.root]:
                 raise ValueError("rooted DAG must have exactly one orphan, the root")

@@ -194,8 +194,9 @@ def build_lattice_nug(spec: LatticeSpec) -> Nug:
 def load_nug(path, n=None) -> Nug:
     """Read an edge list: one `i,j[,w]` line per edge, `#` comments ignored.
 
-    Weights default to 1. When n is omitted it is inferred as max index + 1.
-    Parse errors report the offending 1-based line number.
+    Weights default to 1. When n is omitted it is taken from a `# n=<count>`
+    header before the first edge (as written by save_nug), else inferred as
+    max index + 1. Parse errors report the offending 1-based line number.
     """
     edges = []
     weights = {}
@@ -203,7 +204,15 @@ def load_nug(path, n=None) -> Nug:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, value = line[1:].strip().partition("=")
+                if n is None and not edges and key.strip() == "n":
+                    try:
+                        n = int(value)
+                    except ValueError:
+                        raise GraphFormatError(f"line {lineno}: bad vertex count {value!r}") from None
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) not in (2, 3):

@@ -134,6 +134,76 @@ def _log_two_exp(a, b):
     return a + math.log1p(math.exp(b - a))
 
 
+def _as_ints(z, n=None):
+    """The field as a list of Python ints, so that uint8 input cannot wrap around."""
+    zz = np.asarray(z, dtype=np.int64).tolist()
+    if n is not None and len(zz) != n:
+        raise ValueError(f"field length {len(zz)} does not match {n} units")
+    return zz
+
+
+def _prob_one(logit):
+    return 1.0 / (1.0 + math.exp(-logit))
+
+
+def _site_log_conditional(z_i, n1, k, beta):
+    """log p(z_i | k conditioning sites, n1 of them at one).
+
+    beta * #matches - log(e^{beta * #at 0} + e^{beta * #at 1}); an empty
+    conditioning set gives log 1/2.
+    """
+    n0 = k - n1
+    match = n1 if z_i == 1 else n0
+    return beta * match - _log_two_exp(beta * n0, beta * n1)
+
+
+def _log_site_product(zz, sets, beta):
+    """Sum over sites i of log p(z_i | z_{sets[i]})."""
+    out = 0.0
+    for i, s in enumerate(sets):
+        n1 = 0
+        for j in s:
+            n1 += zz[j]
+        out += _site_log_conditional(zz[i], n1, len(s), beta)
+    return out
+
+
+def _conditional_logit(i, zz, parents, children, beta):
+    """log p(z_i=1 | rest) - log p(z_i=0 | rest) under prod_k p(z_k | z_{parents[k]}).
+
+    children[i] lists the sites whose conditioning sets contain i. Site i's
+    own normalizer does not depend on z_i, but each child's does. With no
+    children this is the Ising full conditional over the set parents[i].
+    """
+    pa = parents[i]
+    ch = children[i]
+    n1 = 0
+    for j in pa:
+        n1 += zz[j]
+    for k in ch:
+        n1 += zz[k]
+    logit = beta * (2 * n1 - len(pa) - len(ch))
+    for k in ch:
+        s1 = -zz[i]
+        for j in parents[k]:
+            s1 += zz[j]
+        pk = len(parents[k])
+        # child k's normalizer with z_i = 1 versus z_i = 0
+        logit -= _log_two_exp(beta * (pk - s1 - 1), beta * (s1 + 1))
+        logit += _log_two_exp(beta * (pk - s1), beta * s1)
+    return logit
+
+
+def _unit_logliks(m, s, eta: NoiseParams):
+    """Log likelihood of m ratings with s ones under z_i = 1 and under z_i = 0.
+
+    m and s may be scalars or per-unit arrays; a unit without ratings gives 0.
+    """
+    ll1 = s * math.log(eta.eta1) + (m - s) * math.log1p(-eta.eta1)
+    ll0 = s * math.log(eta.eta0) + (m - s) * math.log1p(-eta.eta0)
+    return ll1, ll0
+
+
 def log_likelihood(obs: Observations, z, eta: NoiseParams) -> float:
     """Sum of Bernoulli log masses; units without ratings contribute zero."""
     zz = np.asarray(z, dtype=np.int64)
@@ -151,68 +221,24 @@ def log_likelihood(obs: Observations, z, eta: NoiseParams) -> float:
     return out
 
 
-def unit_log_likelihood(m_i, s_i, z_i, eta: NoiseParams) -> float:
-    """Log likelihood contribution of one unit given its latent value."""
-    if m_i == 0:
-        return 0.0
-    p = eta.eta1 if z_i == 1 else eta.eta0
-    return s_i * math.log(p) + (m_i - s_i) * math.log1p(-p)
-
-
 def parent_conditional(z_i, z_parents, beta: float) -> float:
     """Conditional probability of z_i given its parents' values.
 
     exp(beta * #matches) / [exp(beta * #parents at 0) + exp(beta * #parents
     at 1)]; an empty parent set gives 1/2 (both sums are empty).
     """
-    n1 = 0
-    total = 0
-    for v in z_parents:
-        n1 += v
-        total += 1
-    n0 = total - n1
-    match = n1 if z_i == 1 else n0
-    log_den = _log_two_exp(beta * n0, beta * n1)
-    return math.exp(beta * match - log_den)
+    zp = _as_ints(list(z_parents))
+    return math.exp(_site_log_conditional(int(z_i), sum(zp), len(zp), beta))
 
 
 def log_dgm_prior(z, dag: Dag, beta: float) -> float:
     """Log of the DAG-factorized prior: sum of parent conditionals."""
-    zz = list(z)
-    if len(zz) != dag.n:
-        raise ValueError(f"field length {len(zz)} does not match DAG size {dag.n}")
-    out = 0.0
-    for i in range(dag.n):
-        pa = dag.parents[i]
-        n1 = 0
-        for j in pa:
-            n1 += zz[j]
-        n0 = len(pa) - n1
-        match = n1 if zz[i] == 1 else n0
-        out += beta * match - _log_two_exp(beta * n0, beta * n1)
-    return out
+    return _log_site_product(_as_ints(z, dag.n), dag.parents, beta)
 
 
-def _dgm_conditional_logit(i, zz, dag: Dag, beta: float) -> float:
-    """log p(z_i=1 | rest) - log p(z_i=0 | rest) under the DAG prior."""
-    pa = dag.parents[i]
-    ch = dag.children[i]
-    n1 = 0
-    for j in pa:
-        n1 += zz[j]
-    for k in ch:
-        n1 += zz[k]
-    deg = len(pa) + len(ch)
-    logit = beta * (2 * n1 - deg)
-    for k in ch:
-        s1 = -zz[i]
-        for j in dag.parents[k]:
-            s1 += zz[j]
-        pk = len(dag.parents[k])
-        # child k's normalizer with z_i = 1 versus z_i = 0
-        logit -= _log_two_exp(beta * (pk - s1 - 1), beta * (s1 + 1))
-        logit += _log_two_exp(beta * (pk - s1), beta * s1)
-    return logit
+def _check_vertex(i, n):
+    if not (0 <= i < n):
+        raise ValueError(f"vertex {i} out of range")
 
 
 def dgm_full_conditional_prior(i, z, dag: Dag, beta: float) -> float:
@@ -222,29 +248,22 @@ def dgm_full_conditional_prior(i, z, dag: Dag, beta: float) -> float:
     normalizer is the product of the children's parent-sum denominators,
     which depend on z_i.
     """
-    if not (0 <= i < dag.n):
-        raise ValueError(f"vertex {i} out of range")
-    zz = list(z)
-    return 1.0 / (1.0 + math.exp(-_dgm_conditional_logit(i, zz, dag, beta)))
+    _check_vertex(i, dag.n)
+    return _prob_one(_conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta))
 
 
 def dgm_full_conditional_posterior(i, z, dag: Dag, beta: float, eta: NoiseParams, y_i) -> float:
     """P(z_i = 1 | z_-i, y_i): prior full conditional times the unit likelihood."""
-    if not (0 <= i < dag.n):
-        raise ValueError(f"vertex {i} out of range")
-    zz = list(z)
+    _check_vertex(i, dag.n)
     yi = np.asarray(y_i, dtype=np.int64).reshape(-1)
-    m_i, s_i = len(yi), int(yi.sum())
-    logit = _dgm_conditional_logit(i, zz, dag, beta)
-    logit += unit_log_likelihood(m_i, s_i, 1, eta) - unit_log_likelihood(m_i, s_i, 0, eta)
-    return 1.0 / (1.0 + math.exp(-logit))
+    ll1, ll0 = _unit_logliks(len(yi), int(yi.sum()), eta)
+    logit = _conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta)
+    return _prob_one(logit + (ll1 - ll0))
 
 
 def suff_stat_T(z, nug: Nug) -> int:
     """Number of neighboring pairs with equal values."""
-    zz = list(z)
-    if len(zz) != nug.n:
-        raise ValueError(f"field length {len(zz)} does not match {nug.n} units")
+    zz = _as_ints(z, nug.n)
     t = 0
     for i, j in nug.edges:
         if zz[i] == zz[j]:
@@ -262,14 +281,9 @@ def mrf_full_conditional(i, z, nug: Nug, beta: float) -> float:
 
     An isolated vertex has empty neighbor sums and probability 1/2.
     """
-    if not (0 <= i < nug.n):
-        raise ValueError(f"vertex {i} out of range")
-    zz = list(z)
-    n1 = 0
-    for j in nug.neighbor_lists[i]:
-        n1 += zz[j]
-    deg = len(nug.neighbor_lists[i])
-    return 1.0 / (1.0 + math.exp(-beta * (2 * n1 - deg)))
+    _check_vertex(i, nug.n)
+    no_children = ((),) * nug.n
+    return _prob_one(_conditional_logit(i, _as_ints(z), nug.neighbor_lists, no_children, beta))
 
 
 def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:
@@ -278,19 +292,7 @@ def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:
     Not a valid log density for beta > 0; summing its exponential over all
     fields does not give one.
     """
-    zz = list(z)
-    if len(zz) != nug.n:
-        raise ValueError(f"field length {len(zz)} does not match {nug.n} units")
-    out = 0.0
-    for i in range(nug.n):
-        n1 = 0
-        for j in nug.neighbor_lists[i]:
-            n1 += zz[j]
-        deg = len(nug.neighbor_lists[i])
-        n0 = deg - n1
-        match = n1 if zz[i] == 1 else n0
-        out += beta * match - _log_two_exp(beta * n0, beta * n1)
-    return out
+    return _log_site_product(_as_ints(z, nug.n), nug.neighbor_lists, beta)
 
 
 def eta_full_conditional_params(obs: Observations, z, priors: PriorSpec):

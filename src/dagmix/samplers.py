@@ -31,6 +31,10 @@ from .model import (
     NoiseParams,
     Observations,
     PriorSpec,
+    _as_ints,
+    _conditional_logit,
+    _prob_one,
+    _unit_logliks,
     eta_full_conditional_params,
     log_dgm_prior,
     pseudo_likelihood_log,
@@ -94,7 +98,6 @@ class ChainState:
     dag: Dag | None
     beta: float
     eta: NoiseParams
-    iteration: int = 0
 
 
 class PosteriorSamples:
@@ -148,20 +151,6 @@ class PosteriorSamples:
         }) + "\n")
 
 
-def _unit_loglik_vectors(obs: Observations, eta: NoiseParams):
-    """Per-unit log likelihood under z_i = 1 and z_i = 0."""
-    s, m = obs.s, obs.m
-    ll1 = s * math.log(eta.eta1) + (m - s) * math.log1p(-eta.eta1)
-    ll0 = s * math.log(eta.eta0) + (m - s) * math.log1p(-eta.eta0)
-    return ll1, ll0
-
-
-def _log_two_exp(a, b):
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
 def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng, model):
     """One systematic sweep (ascending index) over the latent field.
 
@@ -169,39 +158,18 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     conditional; amrf and the exact MRF both use the MRF full conditional
     times the unit likelihood.
     """
-    zz = [int(v) for v in z]
+    zz = _as_ints(z)
     n = nug.n
-    ll1, ll0 = _unit_loglik_vectors(obs, eta)
-    u = rng.random(n)
+    ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
+    dll = (ll1 - ll0).tolist()
+    u = rng.random(n).tolist()
     if model in MDGM_MODELS:
-        parents = dag.parents
-        children = dag.children
-        for i in range(n):
-            pa = parents[i]
-            ch = children[i]
-            n1 = 0
-            for j in pa:
-                n1 += zz[j]
-            for k in ch:
-                n1 += zz[k]
-            logit = beta * (2 * n1 - len(pa) - len(ch)) + ll1[i] - ll0[i]
-            for k in ch:
-                s1 = -zz[i]
-                for j in parents[k]:
-                    s1 += zz[j]
-                pk = len(parents[k])
-                logit -= _log_two_exp(beta * (pk - s1 - 1), beta * (s1 + 1))
-                logit += _log_two_exp(beta * (pk - s1), beta * s1)
-            zz[i] = 1 if u[i] < 1.0 / (1.0 + math.exp(-logit)) else 0
+        parents, children = dag.parents, dag.children
     else:
-        nbrs = nug.neighbor_lists
-        for i in range(n):
-            nb = nbrs[i]
-            n1 = 0
-            for j in nb:
-                n1 += zz[j]
-            logit = beta * (2 * n1 - len(nb)) + ll1[i] - ll0[i]
-            zz[i] = 1 if u[i] < 1.0 / (1.0 + math.exp(-logit)) else 0
+        parents, children = nug.neighbor_lists, ((),) * n
+    for i in range(n):
+        logit = _conditional_logit(i, zz, parents, children, beta) + dll[i]
+        zz[i] = 1 if u[i] < _prob_one(logit) else 0
     return np.array(zz, dtype=np.uint8)
 
 
@@ -219,8 +187,7 @@ def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, class_tag, rooted_cache=None
         proposal = acyclic_orientation(nug, rng.permutation(nug.n))
     else:
         raise ValueError(f"MH DAG update is for rooted/orientation classes, not {class_tag!r}")
-    zz = list(z)
-    log_ratio = log_dgm_prior(zz, proposal, beta) - log_dgm_prior(zz, dag, beta)
+    log_ratio = log_dgm_prior(z, proposal, beta) - log_dgm_prior(z, dag, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return dag, False
@@ -245,8 +212,7 @@ def mh_update_beta(z, nug: Nug, dag, beta, rng, model, sd, priors: PriorSpec):
     proposal = rng.normal(beta, sd)
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
-    zz = list(z)
-    log_ratio = _log_f(zz, nug, dag, proposal, model) - _log_f(zz, nug, dag, beta, model)
+    log_ratio = _log_f(z, nug, dag, proposal, model) - _log_f(z, nug, dag, beta, model)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return beta, False
@@ -264,8 +230,7 @@ def exchange_update_beta_mrf(z, nug: Nug, beta, rng, sd, priors: PriorSpec,
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
     z_aux = cftp_ising(nug, proposal, rng, step_cap=step_cap)
-    zz = list(z)
-    log_ratio = (proposal - beta) * (suff_stat_T(zz, nug) - suff_stat_T(z_aux, nug))
+    log_ratio = (proposal - beta) * (suff_stat_T(z, nug) - suff_stat_T(z_aux, nug))
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return beta, False
@@ -386,7 +351,7 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng) -> Chai
         dag = acyclic_orientation(nug, rng.permutation(nug.n))
     else:
         dag = None
-    return ChainState(z=z, dag=dag, beta=beta, eta=eta, iteration=0)
+    return ChainState(z=z, dag=dag, beta=beta, eta=eta)
 
 
 def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSamples:
@@ -457,7 +422,6 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
             state.eta, stalls = gibbs_update_eta(obs, state.z, state.eta, config.priors, rng)
             eta_stalls += stalls
 
-        state.iteration = b + 1
         if b >= config.burn_in:
             k = b - config.burn_in
             rec_beta[k] = state.beta

@@ -39,6 +39,9 @@ class TestDagType:
     def test_spanning_tree_invariants_enforced(self):
         with pytest.raises(ValueError, match="exactly one parent"):
             Dag([[], [0], [0, 1]], class_tag=CLASS_SPANNING_TREE, root=0)
+        # disconnected from the root: vertices 1 and 2 are each other's parent
+        with pytest.raises(ValueError):
+            Dag([[], [2], [1]], class_tag=CLASS_SPANNING_TREE, root=0)
         Dag([[], [0], [1]], class_tag=CLASS_SPANNING_TREE, root=0)
 
     def test_rooted_orphan_invariant(self):

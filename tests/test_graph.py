@@ -125,13 +125,19 @@ class TestLoadNug:
         with pytest.raises(GraphFormatError, match="out of range"):
             p.write_text("-1,2\n")
             load_nug(p)
+        with pytest.raises(GraphFormatError, match="line 3: vertex index out of range"):
+            p.write_text("# n=3\n0,1\n1,3\n")
+            load_nug(p)
 
     def test_save_roundtrip(self, tmp_path, lattice33_second):
         p = tmp_path / "g.csv"
-        save_nug(lattice33_second, p)
-        back = load_nug(p)
-        assert back.edges == lattice33_second.edges
-        assert back.weights == lattice33_second.weights
+        # the second graph ends in isolated units that no edge names
+        for nug in (lattice33_second, Nug(5, [(0, 1), (1, 2)])):
+            save_nug(nug, p)
+            back = load_nug(p)
+            assert back.n == nug.n
+            assert back.edges == nug.edges
+            assert back.weights == nug.weights
 
 
 class TestLaplacian:

@@ -202,9 +202,11 @@ class TestDgmFullConditionals:
                 z1[i], z0[i] = 1, 0
                 p1 = math.exp(log_dgm_prior(z1, dag, beta))
                 p0 = math.exp(log_dgm_prior(z0, dag, beta))
-                assert dgm_full_conditional_prior(i, z, dag, beta) == pytest.approx(
-                    p1 / (p0 + p1)
-                )
+                # the sampler's own fields are uint8 arrays
+                for field in (z, np.array(z, dtype=np.uint8)):
+                    assert dgm_full_conditional_prior(i, field, dag, beta) == pytest.approx(
+                        p1 / (p0 + p1)
+                    )
 
     def test_posterior_reduces_to_prior_without_data(self):
         dag = Dag([[], [0], [1]])
@@ -231,8 +233,9 @@ class TestDgmFullConditionals:
             z1[i], z0[i] = 1, 0
             w1 = math.exp(log_dgm_prior(z1, dag, beta) + log_likelihood(obs, z1, eta))
             w0 = math.exp(log_dgm_prior(z0, dag, beta) + log_likelihood(obs, z0, eta))
-            got = dgm_full_conditional_posterior(i, z, dag, beta, eta, obs.y[i])
-            assert got == pytest.approx(w1 / (w0 + w1))
+            for field in (z, np.array(z, dtype=np.uint8)):
+                got = dgm_full_conditional_posterior(i, field, dag, beta, eta, obs.y[i])
+                assert got == pytest.approx(w1 / (w0 + w1))
 
 
 class TestSuffStat:
@@ -284,7 +287,8 @@ class TestMrfDensity:
                 z1, z0 = list(z), list(z)
                 z1[i], z0[i] = 1, 0
                 expected = weights[tuple(z1)] / (weights[tuple(z0)] + weights[tuple(z1)])
-                assert mrf_full_conditional(i, z, nug, beta) == pytest.approx(expected)
+                for field in (z, np.array(z, dtype=np.uint8)):
+                    assert mrf_full_conditional(i, field, nug, beta) == pytest.approx(expected)
 
 
 class TestPseudoLikelihood:

@@ -16,14 +16,17 @@ from dagmix import (
     Nug,
     Observations,
     PriorSpec,
+    acyclic_orientation,
     build_lattice_nug,
     cftp_ising,
+    dgm_full_conditional_posterior,
     exchange_update_beta_mrf,
     gibbs_update_eta,
     gibbs_update_z,
     log_dgm_prior,
     mh_update_beta,
     mh_update_dag,
+    mrf_full_conditional,
     mrf_log_unnorm,
     rooted_dag,
     run_chain,
@@ -35,7 +38,7 @@ from dagmix.experiments import (
     enumerate_orientation_mixture,
     exact_posterior_oracle,
 )
-from dagmix.samplers import ALL_MODELS, AMRF, MDGM_ST, _sample_truncated_beta
+from dagmix.samplers import ALL_MODELS, AMRF, MDGM_AO, MDGM_ST, _sample_truncated_beta
 from conftest import all_fields, quiet_obs
 
 
@@ -75,6 +78,34 @@ class TestGibbsZ:
             z = gibbs_update_z(z, lattice22, None, 0.0, eta, obs, rng, AMRF)
             hits += z
         assert np.abs(hits / sweeps - 0.5).max() < 0.015
+
+    @pytest.mark.parametrize("model", [MDGM_AO, AMRF])
+    def test_sweep_thresholds_the_tested_full_conditionals(self, model):
+        nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
+        obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
+        eta = NoiseParams(0.2, 0.75)
+        beta = 0.7
+        dag = acyclic_orientation(nug, [4, 0, 8, 2, 6, 1, 3, 5, 7])
+        # the sweep draws one uniform per site up front, so a twin generator
+        # replays its uniforms
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        z = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
+        for _ in range(20):
+            swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng, model)
+            u = twin.random(nug.n)
+            by_hand = z.copy()
+            for i in range(nug.n):
+                if model == AMRF:
+                    p = mrf_full_conditional(i, by_hand, nug, beta)
+                    l1 = math.prod(eta.eta1 if y else 1 - eta.eta1 for y in obs.y[i])
+                    l0 = math.prod(eta.eta0 if y else 1 - eta.eta0 for y in obs.y[i])
+                    p = p * l1 / (p * l1 + (1 - p) * l0)
+                else:
+                    p = dgm_full_conditional_posterior(i, by_hand, dag, beta, eta, obs.y[i])
+                by_hand[i] = u[i] < p
+            assert swept.dtype == np.uint8
+            assert swept.tolist() == by_hand.tolist()
+            z = swept
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_long_run_marginals_match_oracle(self, model, lattice22, obs22):
