@@ -321,17 +321,23 @@ _HANDLERS = {
 }
 
 
-def _apply_config_file(parser, subparsers, argv):
-    """Pre-scan for --config and install its values as subcommand defaults."""
+def _apply_config_file(subparsers, argv):
+    """Pre-parse --config PATH or --config=PATH and install its values as
+    subcommand defaults."""
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    if "--config" not in argv or not argv:
+    if not argv or argv[0] not in subparsers:
         return argv
     command = argv[0]
-    if command not in subparsers or argv.index("--config") + 1 >= len(argv):
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # the full parser reports it as a usage error
         return argv
-    path = argv[argv.index("--config") + 1]
+    if path is None:
+        return argv
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -351,7 +357,7 @@ def _apply_config_file(parser, subparsers, argv):
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
-        argv = _apply_config_file(parser, subparsers, argv)
+        argv = _apply_config_file(subparsers, argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -118,8 +118,6 @@ def rooted_dag(nug: Nug, root: int) -> Dag:
     """
     if not (0 <= root < nug.n):
         raise ValueError(f"root {root} out of range")
-    if not is_connected(nug):
-        raise DisconnectedGraphError("rooted DAG requires a connected NUG")
     inf = float("inf")
     label = [inf] * nug.n
     label[root] = 0
@@ -133,6 +131,8 @@ def rooted_dag(nug: Nug, root: int) -> Dag:
             if nd < label[u]:
                 label[u] = nd
                 heapq.heappush(heap, (nd, u))
+    if inf in label:
+        raise DisconnectedGraphError("rooted DAG requires a connected NUG")
     parents = [[] for _ in range(nug.n)]
     for i, j in nug.edges:
         if label[i] < label[j]:
@@ -302,18 +302,24 @@ def markov_blanket(dag: Dag, i: int) -> set:
 
 
 def dag_to_csv(dag: Dag, path) -> None:
-    """Serialize as `child,parent` lines under a `# root=.. class=..` header."""
+    """Serialize as `child,parent` lines under `# root=.. class=..` and `# n=..` headers."""
     with open(path, "w", encoding="utf-8") as fh:
         root = dag.root if dag.root is not None else ""
         fh.write(f"# root={root} class={dag.class_tag}\n")
+        fh.write(f"# n={dag.n}\n")
         for child, parent in dag.directed_edges():
             fh.write(f"{child},{parent}\n")
 
 
 def dag_from_csv(path, n=None) -> Dag:
-    """Inverse of dag_to_csv; n is inferred from the edges when omitted."""
+    """Inverse of dag_to_csv.
+
+    When n is omitted it is taken from the `# n=` header, else inferred from
+    the edges. An edge outside [0, n) raises ValueError with its line number.
+    """
     root = None
     class_tag = CLASS_GENERAL
+    header_n = None
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -327,14 +333,20 @@ def dag_from_csv(path, n=None) -> Dag:
                         root = int(value)
                     elif key == "class" and value:
                         class_tag = value
+                    elif key == "n" and value:
+                        header_n = int(value)
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'child,parent'")
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append((lineno, int(parts[0]), int(parts[1])))
     if n is None:
-        n = 1 + max((max(c, p) for c, p in pairs), default=root if root is not None else -1)
+        n = header_n
+    if n is None:
+        n = 1 + max((max(c, p) for _, c, p in pairs), default=root if root is not None else -1)
     parents = [[] for _ in range(n)]
-    for child, parent in pairs:
+    for lineno, child, parent in pairs:
+        if not (0 <= child < n and 0 <= parent < n):
+            raise ValueError(f"line {lineno}: edge {child},{parent} out of range for n={n}")
         parents[child].append(parent)
     return Dag(parents, class_tag=class_tag, root=root)

@@ -17,13 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .dags import acyclic_orientation, rooted_dag
+from .dags import acyclic_orientation, rooted_dag, tree_dag
 from .graph import IntractableError, LatticeSpec, Nug, build_lattice_nug
 from .model import (
     NoiseParams,
     Observations,
     PriorSpec,
-    log_dgm_prior,
     pseudo_likelihood_log,
     suff_stat_T,
 )
@@ -448,22 +447,38 @@ def _field_suffstats(nug: Nug, fields) -> np.ndarray:
     return t
 
 
-def _st_mixture_logprior(nug: Nug, fields, beta, max_trees) -> np.ndarray:
-    trees = enumerate_spanning_trees(nug, cap=max_trees)
-    matches = np.zeros((len(trees), len(fields)), dtype=np.int64)
-    for k, tree in enumerate(trees):
-        for i, j in tree:
-            matches[k] += fields[:, i] == fields[:, j]
-    log_p = (-math.log(2.0) + beta * matches
-             - (nug.n - 1) * np.log1p(math.exp(beta)))
-    return logsumexp(log_p, axis=0) - math.log(len(trees))
+def _log_prior_table(nug: Nug, fields, betas, model, max_trees):
+    """log p(z | beta) for every field (columns) at every beta (rows).
 
-
-def _dag_mixture_logprior(components, fields, beta) -> np.ndarray:
-    logs = np.empty((len(components), len(fields)))
-    for k, (dag, w) in enumerate(components):
-        logs[k] = [log_dgm_prior(z, dag, beta) + math.log(w) for z in fields]
-    return logsumexp(logs, axis=0)
+    Also returns the number of mixture components (None for the MRF priors).
+    The MRF prior is beta * T(z) - log Z(beta); amrf shares the MRF's
+    fixed-beta z posterior. A mixture prior log sum_D w_D prod_i
+    p(z_i | z_pa(i)) is accumulated one component at a time, with the site
+    term written here rather than taken from the sampler's log_dgm_prior.
+    """
+    b = np.asarray(betas, dtype=np.float64)[:, None]
+    if model in (EXACT_MRF, AMRF):
+        bt = b * _field_suffstats(nug, fields)
+        return bt - logsumexp(bt, axis=1, keepdims=True), None
+    if model == MDGM_ST:
+        trees = enumerate_spanning_trees(nug, cap=max_trees)
+        components = [(tree_dag(nug.n, tree, 0), 1.0 / len(trees)) for tree in trees]
+    elif model == MDGM_ROOTED:
+        components = [(rooted_dag(nug, r), 1.0 / nug.n) for r in range(nug.n)]
+    elif model == MDGM_AO:
+        components = enumerate_orientation_mixture(nug)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    z = fields.astype(np.int64)
+    table = np.full((len(b), len(z)), -np.inf)
+    for dag, weight in components:
+        log_p = np.full_like(table, math.log(weight))
+        for i, pa in enumerate(dag.parents):
+            n1 = z[:, list(pa)].sum(axis=1)
+            n0 = len(pa) - n1
+            log_p += b * np.where(z[:, i] == 1, n1, n0) - np.logaddexp(b * n0, b * n1)
+        table = np.logaddexp(table, log_p)
+    return table, len(components)
 
 
 @dataclass
@@ -485,33 +500,15 @@ def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
     if nug.n > max_n:
         raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
     fields = all_fields(nug.n)
-    loglik = _field_logliks(obs, eta, fields)
+    log_prior, n_components = _log_prior_table(nug, fields, [beta], model, max_trees)
+    log_w = _field_logliks(obs, eta, fields) + log_prior[0]
+    w = np.exp(log_w - log_w.max())
     log_partition = None
-    n_components = None
-    if model in (EXACT_MRF, AMRF):
-        t = _field_suffstats(nug, fields)
-        log_partition = float(logsumexp(beta * t))
-        log_prior = beta * t - log_partition
-    elif model == MDGM_ST:
-        log_prior = _st_mixture_logprior(nug, fields, beta, max_trees)
-        n_components = len(enumerate_spanning_trees(nug, cap=max_trees))
-    elif model == MDGM_ROOTED:
-        comps = [(rooted_dag(nug, r), 1.0 / nug.n) for r in range(nug.n)]
-        log_prior = _dag_mixture_logprior(comps, fields, beta)
-        n_components = nug.n
-    elif model == MDGM_AO:
-        comps = enumerate_orientation_mixture(nug)
-        log_prior = _dag_mixture_logprior(comps, fields, beta)
-        n_components = len(comps)
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    log_w = loglik + log_prior
-    log_total = logsumexp(log_w)
-    marginals = np.array([
-        logsumexp(log_w[fields[:, i] == 1]) - log_total for i in range(nug.n)
-    ])
+    if n_components is None:
+        # The all-zero field matches on every edge: log p = beta * |E| - log Z.
+        log_partition = beta * len(nug.edges) - float(log_prior[0, 0])
     return OracleResult(
-        marginals=np.exp(marginals),
+        marginals=(w @ fields) / w.sum(),
         log_partition=log_partition,
         n_components=n_components,
     )
@@ -546,53 +543,31 @@ def joint_beta_oracle(obs: Observations, nug: Nug, eta: NoiseParams, model,
     """Quadrature oracle for chains with free beta and z at fixed eta.
 
     Returns the exact beta-posterior density/CDF on a uniform grid over the
-    prior support and the beta-integrated latent marginals. Supports the
-    exact MRF and the spanning-tree mixture (their priors reduce to scalar
-    field statistics; trapezoid quadrature over the grid).
+    prior support and the beta-integrated latent marginals (trapezoid
+    quadrature over the grid), for the exact MRF and the three mixtures.
+    amrf has no joint target: its z sweep uses the MRF full conditionals and
+    its beta move targets exp(pseudo-likelihood), and no joint distribution
+    has both as its conditionals.
     """
+    if model == AMRF:
+        raise ValueError(f"{AMRF!r} has no joint (beta, z) target: its z and beta "
+                         "moves use the MRF conditionals and the pseudo-likelihood")
     if nug.n > max_n:
         raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
     fields = all_fields(nug.n)
-    loglik = _field_logliks(obs, eta, fields)
     grid = np.linspace(0.0, priors.beta_max, grid_size)
-    log_total = np.empty(grid_size)
-    log_marg = np.empty((grid_size, nug.n))
-    ones_masks = [fields[:, i] == 1 for i in range(nug.n)]
-    if model == EXACT_MRF:
-        t = _field_suffstats(nug, fields)
-        for g, b in enumerate(grid):
-            log_prior = b * t - logsumexp(b * t)
-            w = loglik + log_prior
-            log_total[g] = logsumexp(w)
-            for i in range(nug.n):
-                log_marg[g, i] = logsumexp(w[ones_masks[i]])
-    elif model == MDGM_ST:
-        trees = enumerate_spanning_trees(nug, cap=max_trees)
-        matches = np.zeros((len(trees), len(fields)), dtype=np.int64)
-        for k, tree in enumerate(trees):
-            for i, j in tree:
-                matches[k] += fields[:, i] == fields[:, j]
-        for g, b in enumerate(grid):
-            log_p = (-math.log(2.0) + b * matches
-                     - (nug.n - 1) * np.log1p(math.exp(b)))
-            log_prior = logsumexp(log_p, axis=0) - math.log(len(trees))
-            w = loglik + log_prior
-            log_total[g] = logsumexp(w)
-            for i in range(nug.n):
-                log_marg[g, i] = logsumexp(w[ones_masks[i]])
-    else:
-        raise ValueError(f"beta oracle supports {EXACT_MRF!r} and {MDGM_ST!r}, not {model!r}")
+    log_prior, _ = _log_prior_table(nug, fields, grid, model, max_trees)
+    log_w = _field_logliks(obs, eta, fields) + log_prior
     # Uniform beta prior: posterior density over beta is total mass, normalized.
-    scale = log_total.max()
-    density = np.exp(log_total - scale)
+    w = np.exp(log_w - log_w.max())
+    density = w.sum(axis=1)
     norm = np.trapezoid(density, grid)
     pdf = density / norm
     cdf = np.concatenate([[0.0], np.cumsum(
         0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid)
     )])
     cdf = np.clip(cdf / cdf[-1], 0.0, 1.0)
-    marg_num = np.trapezoid(np.exp(log_marg - scale), grid, axis=0)
-    z_marginals = marg_num / norm
+    z_marginals = np.trapezoid(w @ fields, grid, axis=0) / norm
     return BetaOracle(grid=grid, pdf=pdf, cdf=cdf, z_marginals=z_marginals)
 
 

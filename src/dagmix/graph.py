@@ -318,13 +318,7 @@ def count_spanning_trees(nug: Nug, cofactor=None) -> int:
     i, j = (0, 0) if cofactor is None else cofactor
     if not (0 <= i < nug.n and 0 <= j < nug.n):
         raise ValueError("cofactor position out of range")
-    lap = [[0] * nug.n for _ in range(nug.n)]
-    for a, b in nug.edges:
-        lap[a][b] -= 1
-        lap[b][a] -= 1
-        lap[a][a] += 1
-        lap[b][b] += 1
-    minor = [[lap[r][c] for c in range(nug.n) if c != j] for r in range(nug.n) if r != i]
+    minor = np.delete(np.delete(laplacian(nug), i, axis=0), j, axis=1)
     return (-1) ** (i + j) * _int_det_bareiss(minor)
 
 

@@ -178,11 +178,16 @@ def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, class_tag, rooted_cache=None
 
     Proposal and prior cancel (uniform root for the rooted class; uniform
     permutation for orientations), leaving the prior-likelihood ratio
-    p(z|D*, beta) / p(z|D, beta).
+    p(z|D*, beta) / p(z|D, beta). rooted_cache, when given, is a per-root
+    list whose None entries are built on first proposal.
     """
     if class_tag == CLASS_ROOTED:
         root = int(rng.integers(nug.n))
-        proposal = rooted_cache[root] if rooted_cache is not None else rooted_dag(nug, root)
+        proposal = rooted_cache[root] if rooted_cache is not None else None
+        if proposal is None:
+            proposal = rooted_dag(nug, root)
+            if rooted_cache is not None:
+                rooted_cache[root] = proposal
     elif class_tag == CLASS_ACYCLIC_ORIENTATION:
         proposal = acyclic_orientation(nug, rng.permutation(nug.n))
     else:
@@ -369,9 +374,8 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     rng = np.random.default_rng(config.seed)
     state = _initial_state(obs, nug, config, rng)
     model = config.model
-    rooted_cache = None
-    if model == MDGM_ROOTED:
-        rooted_cache = [rooted_dag(nug, r) for r in range(nug.n)]
+    # A k-iteration chain proposes at most k roots: build each on first use.
+    rooted_cache = [None] * nug.n if model == MDGM_ROOTED else None
 
     keep = config.iterations - config.burn_in
     rec_beta = np.empty(keep)

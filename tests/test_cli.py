@@ -269,6 +269,16 @@ class TestConfigFile:
         row = out.read_text().strip().split("\n")[1].split(",")
         assert float(row[3]) == 0.2
 
+    def test_config_equals_form(self, tmp_path):
+        g = write_cycle4(tmp_path / "g.csv")
+        data = write_ratings(tmp_path / "y.csv", [(0, 1), (0, 1), (1, 0), (2, 1), (3, 0)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": str(data), "model": "amrf",
+                                   "iters": 20, "burnin": 10}))
+        out = tmp_path / "samples.jsonl"
+        assert main(["fit", "--graph", str(g), f"--config={cfg}", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 11
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rows": 3, "colz": 3}))

@@ -270,13 +270,24 @@ class TestMarkovBlanket:
 class TestSerialization:
     def test_roundtrip(self, tmp_path, lattice33_first):
         rng = np.random.default_rng(12)
-        dag = uniform_spanning_tree(lattice33_first, rng)
+        # the second input ends in an isolated vertex, which no edge names
+        for dag in (uniform_spanning_tree(lattice33_first, rng), Dag([[], [0], []])):
+            path = tmp_path / "dag.csv"
+            dag_to_csv(dag, path)
+            back = dag_from_csv(path)
+            assert back.n == dag.n
+            assert back.parents == dag.parents
+            assert back.root == dag.root
+            assert back.class_tag == dag.class_tag
+
+    def test_out_of_range_edge_reports_line(self, tmp_path):
         path = tmp_path / "dag.csv"
-        dag_to_csv(dag, path)
-        back = dag_from_csv(path)
-        assert back.parents == dag.parents
-        assert back.root == dag.root
-        assert back.class_tag == dag.class_tag
+        path.write_text("# root= class=general\n1,0\n3,1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            dag_from_csv(path, n=3)
+        path.write_text("# n=2\n1,0\n2,1\n")
+        with pytest.raises(ValueError, match="line 3"):
+            dag_from_csv(path)
 
     def test_header_written(self, tmp_path):
         dag = tree_dag(3, [(0, 1), (1, 2)], root=1)

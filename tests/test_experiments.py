@@ -426,7 +426,7 @@ class TestBetaOracle:
         nug = build_lattice_nug(LatticeSpec(2, 2, "first"))
         obs = quiet_obs([[], [], [], []])
         eta = NoiseParams(0.2, 0.8)
-        for model in (EXACT_MRF, MDGM_ST):
+        for model in (EXACT_MRF, MDGM_ST, MDGM_ROOTED, MDGM_AO):
             oracle = joint_beta_oracle(obs, nug, eta, model, PriorSpec(beta_max=1.0))
             assert np.trapezoid(oracle.pdf, oracle.grid) == pytest.approx(1.0)
             assert (np.diff(oracle.cdf) >= -1e-12).all()
@@ -436,7 +436,7 @@ class TestBetaOracle:
         nug = build_lattice_nug(LatticeSpec(2, 2, "first"))
         obs = quiet_obs([[], [], [], []])
         with pytest.raises(ValueError):
-            joint_beta_oracle(obs, nug, NoiseParams(0.2, 0.8), MDGM_AO, PriorSpec())
+            joint_beta_oracle(obs, nug, NoiseParams(0.2, 0.8), AMRF, PriorSpec())
 
 
 class TestDistances:

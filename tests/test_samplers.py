@@ -33,12 +33,22 @@ from dagmix import (
     suff_stat_T,
     tree_dag,
 )
+from dagmix import samplers
 from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, CLASS_ROOTED
 from dagmix.experiments import (
     enumerate_orientation_mixture,
     exact_posterior_oracle,
+    joint_beta_oracle,
+    ks_distance,
 )
-from dagmix.samplers import ALL_MODELS, AMRF, MDGM_AO, MDGM_ST, _sample_truncated_beta
+from dagmix.samplers import (
+    ALL_MODELS,
+    AMRF,
+    MDGM_AO,
+    MDGM_ROOTED,
+    MDGM_ST,
+    _sample_truncated_beta,
+)
 from conftest import all_fields, quiet_obs
 
 
@@ -414,6 +424,35 @@ class TestRunChain:
         assert a.acceptance == b.acceptance
         if model == MDGM_ST:
             assert a.tree_edges == b.tree_edges
+
+    @pytest.mark.parametrize("model", [MDGM_ROOTED, MDGM_AO])
+    def test_free_beta_chain_matches_joint_oracle(self, model, lattice22, obs22):
+        # acceptance criterion 7's data, seed, iteration count and bounds
+        priors = PriorSpec(beta_max=1.0)
+        oracle = joint_beta_oracle(obs22, lattice22, NoiseParams(0.2, 0.8), model, priors)
+        cfg = McmcConfig(
+            iterations=10**5, burn_in=10**4, seed=11, model=model,
+            beta_proposal_sd=0.25, priors=priors,
+            init=Init(eta=(0.2, 0.8), z="random"),
+            update_eta=False,
+        )
+        samples = run_chain(obs22, lattice22, cfg)
+        assert np.abs(samples.z_mean() - oracle.z_marginals).max() < 0.01
+        assert ks_distance(samples.beta, oracle) < 0.02
+
+    def test_rooted_dags_built_on_first_use(self, monkeypatch):
+        nug = build_lattice_nug(LatticeSpec(6, 6, "first"))
+        roots = []
+
+        def counting_rooted_dag(nug, root):
+            roots.append(root)
+            return rooted_dag(nug, root)
+
+        monkeypatch.setattr(samplers, "rooted_dag", counting_rooted_dag)
+        obs = quiet_obs([[1, 0]] * nug.n)
+        run_chain(obs, nug, McmcConfig(iterations=5, burn_in=0, seed=3, model=MDGM_ROOTED))
+        # the initial DAG plus at most one new root per iteration
+        assert 1 <= len(roots) <= 6
 
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
