@@ -311,11 +311,19 @@ def dag_to_csv(dag: Dag, path) -> None:
             fh.write(f"{child},{parent}\n")
 
 
+def _parse_int(text, lineno, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
+
+
 def dag_from_csv(path, n=None) -> Dag:
     """Inverse of dag_to_csv.
 
     When n is omitted it is taken from the `# n=` header, else inferred from
-    the edges. An edge outside [0, n) raises ValueError with its line number.
+    the edges. A non-integer field or an edge outside [0, n) raises
+    ValueError with its line number.
     """
     root = None
     class_tag = CLASS_GENERAL
@@ -330,16 +338,17 @@ def dag_from_csv(path, n=None) -> Dag:
                 for token in line[1:].split():
                     key, _, value = token.partition("=")
                     if key == "root" and value:
-                        root = int(value)
+                        root = _parse_int(value, lineno, "root")
                     elif key == "class" and value:
                         class_tag = value
                     elif key == "n" and value:
-                        header_n = int(value)
+                        header_n = _parse_int(value, lineno, "vertex count")
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'child,parent'")
-            pairs.append((lineno, int(parts[0]), int(parts[1])))
+            child, parent = (_parse_int(p, lineno, "vertex index") for p in parts)
+            pairs.append((lineno, child, parent))
     if n is None:
         n = header_n
     if n is None:

@@ -441,10 +441,7 @@ def _field_logliks(obs: Observations, eta: NoiseParams, fields) -> np.ndarray:
 
 
 def _field_suffstats(nug: Nug, fields) -> np.ndarray:
-    t = np.zeros(len(fields), dtype=np.int64)
-    for i, j in nug.edges:
-        t += fields[:, i] == fields[:, j]
-    return t
+    return (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
 
 
 def _log_prior_table(nug: Nug, fields, betas, model, max_trees):

@@ -47,13 +47,14 @@ class LatticeSpec:
 class Nug:
     """Immutable undirected graph over n areal units.
 
-    Edges are unordered pairs stored once as (i, j) with i < j. Neighbor
-    lists are sorted. Instances are safe to share across chains; all
-    derived structure (adjacency, coloring) is cached lazily.
+    Edges are unordered pairs stored once as (i, j) with i < j; edge_i and
+    edge_j hold their endpoints as index arrays. Neighbor lists are sorted.
+    Instances are safe to share across chains; all derived structure
+    (adjacency, coloring, CFTP layout) is cached lazily.
     """
 
-    __slots__ = ("n", "edges", "weights", "neighbor_lists", "_adjacency",
-                 "_color_classes", "_padded_neighbors")
+    __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
+                 "_adjacency", "_color_classes", "_sandwich_layout")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -88,11 +89,13 @@ class Nug:
             nbrs[j].append(i)
         self.n = n
         self.edges = tuple(canon)
+        self.edge_i = np.array([i for i, _ in canon], dtype=np.intp)
+        self.edge_j = np.array([j for _, j in canon], dtype=np.intp)
         self.weights = {e: wmap.get(e, 1) for e in canon}
         self.neighbor_lists = tuple(tuple(sorted(x)) for x in nbrs)
         self._adjacency = None
         self._color_classes = None
-        self._padded_neighbors = None
+        self._sandwich_layout = None
 
     def neighbors(self, i):
         return self.neighbor_lists[i]
@@ -108,9 +111,8 @@ class Nug:
         """Symmetric 0/1 association matrix A(N) with zero diagonal."""
         if self._adjacency is None:
             a = np.zeros((self.n, self.n), dtype=np.int64)
-            for i, j in self.edges:
-                a[i, j] = 1
-                a[j, i] = 1
+            a[self.edge_i, self.edge_j] = 1
+            a[self.edge_j, self.edge_i] = 1
             self._adjacency = a
         return self._adjacency.copy()
 
@@ -135,24 +137,38 @@ class Nug:
             )
         return self._color_classes
 
-    def padded_neighbors(self):
-        """Per color class: (vertices, neighbor index matrix, degrees).
+    def sandwich_layout(self):
+        """Stacked index arrays for the monotone CFTP sweep.
 
-        The neighbor matrix is padded with index n; callers append a dummy
-        slot to their state vector so the padding contributes zero.
+        The lower and upper chains share one state vector of length
+        2(n+1): lower sites, a zero pad slot, upper sites, a second zero
+        pad. Returns (classes, degrees, order). Per color class, classes
+        holds (sites, neighbors, span): sites are the class's vertices in
+        both halves, neighbors is a contiguous (width, len(sites)) matrix
+        whose column j lists the neighbors of sites[j] in the same half,
+        padded with that half's zero slot, and span is the class's slice of
+        an array laid out like order. degrees gives each vertex's degree;
+        order lists the vertex behind every stacked site, class by class.
         """
-        if self._padded_neighbors is None:
-            out = []
+        if self._sandwich_layout is None:
+            n = self.n
+            classes = []
+            order = [np.zeros(0, dtype=np.intp)]
+            start = 0
             for cls in self.color_classes():
-                degs = np.array([self.degree(v) for v in cls], dtype=np.float64)
-                width = int(degs.max()) if len(cls) else 0
-                mat = np.full((len(cls), max(width, 1)), self.n, dtype=np.intp)
-                for row, v in enumerate(cls):
+                width = max((len(self.neighbor_lists[v]) for v in cls), default=0)
+                mat = np.full((width, len(cls)), n, dtype=np.intp)
+                for col, v in enumerate(cls):
                     nb = self.neighbor_lists[v]
-                    mat[row, : len(nb)] = nb
-                out.append((cls, mat, degs))
-            self._padded_neighbors = tuple(out)
-        return self._padded_neighbors
+                    mat[: len(nb), col] = nb
+                sites = np.concatenate([cls, cls + n + 1])
+                nbrs = np.concatenate([mat, mat + n + 1], axis=1)
+                classes.append((sites, nbrs, slice(start, start + len(sites))))
+                order += [cls, cls]
+                start += len(sites)
+            degrees = np.array([len(nb) for nb in self.neighbor_lists], dtype=np.intp)
+            self._sandwich_layout = (tuple(classes), degrees, np.concatenate(order))
+        return self._sandwich_layout
 
     def __repr__(self):
         return f"Nug(n={self.n}, edges={len(self.edges)})"

@@ -263,12 +263,10 @@ def dgm_full_conditional_posterior(i, z, dag: Dag, beta: float, eta: NoiseParams
 
 def suff_stat_T(z, nug: Nug) -> int:
     """Number of neighboring pairs with equal values."""
-    zz = _as_ints(z, nug.n)
-    t = 0
-    for i, j in nug.edges:
-        if zz[i] == zz[j]:
-            t += 1
-    return t
+    zz = np.asarray(z)
+    if len(zz) != nug.n:
+        raise ValueError(f"field length {len(zz)} does not match {nug.n} units")
+    return int(np.count_nonzero(zz[nug.edge_i] == zz[nug.edge_j]))
 
 
 def mrf_log_unnorm(z, nug: Nug, beta: float) -> float:

@@ -245,10 +245,14 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     """Perfect draw from p(z) ~ exp(beta * T(z)) by coupling from the past.
 
     Monotone sandwich of the all-zeros and all-ones chains under shared
-    single-site heat-bath updates. One uniform per (time step, vertex) is
-    cached and reused as the start time doubles backwards. Within a time
-    step, vertices are updated by independent color class (equivalent to a
-    fixed systematic site order, but vectorizable). Raises
+    single-site heat-bath updates; the two chains are stacked in one state
+    vector (Nug.sandwich_layout). One uniform per (time step, vertex) is
+    drawn and reused as the start time doubles backwards. A vertex of
+    degree d with n1 neighbors at one takes value one when u < p1[d, n1],
+    and p1 rises with n1, so each uniform is cached as the threshold
+    #{k : p1[d, k] <= u} and the update becomes n1 >= threshold. Within a
+    time step, vertices are updated by independent color class (equivalent
+    to a fixed systematic site order, but vectorizable). Raises
     CoalescenceError when step_cap site updates pass without coalescence.
     """
     if beta < 0:
@@ -256,34 +260,40 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     n = nug.n
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    padded = nug.padded_neighbors()
-    uniforms = {}
+    classes, degrees, order = nug.sandwich_layout()
+    k = np.arange(degrees.max() + 1, dtype=np.float64)
+    deg = k[:, None]
+    p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * k)))
+    p1[k > deg] = 2.0  # above the degree: never reached, never counted
+    site_p1 = p1[degrees]
+    count_type = np.min_scalar_type(len(k))  # holds every count and threshold
+    thresholds = {}
     horizon = 1
     updates = 0
     while True:
-        lo = np.zeros(n + 1)
-        hi = np.ones(n + 1)
-        hi[n] = 0.0  # padding slot contributes zero to neighbor sums
+        # lower sites, zero pad, upper sites, zero pad: pads add nothing to sums
+        state = np.zeros(2 * n + 2, dtype=count_type)
+        lo, hi = state[:n], state[n + 1 : 2 * n + 1]
+        hi[:] = 1
         for t in range(-horizon, 0):
-            u = uniforms.get(t)
-            if u is None:
+            thr = thresholds.get(t)
+            if thr is None:
                 u = rng.random(n)
-                uniforms[t] = u
-            for cls, mat, deg in padded:
-                for state in (lo, hi):
-                    n1 = state[mat].sum(axis=1)
-                    p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * n1)))
-                    state[cls] = u[cls] < p1
-                updates += 2 * len(cls)
-                if validate and not (lo[:n] <= hi[:n]).all():
+                thr = (site_p1 <= u[:, None]).sum(axis=1, dtype=count_type)[order]
+                thresholds[t] = thr
+            for sites, nbrs, span in classes:
+                state[sites] = state[nbrs].sum(axis=0, dtype=count_type) >= thr[span]
+                if validate and not (lo <= hi).all():
                     raise AssertionError("sandwich ordering violated")
+            updates += 2 * n
             if updates > step_cap:
                 raise CoalescenceError(
                     f"no coalescence within {step_cap} site updates "
-                    f"(beta={beta:.4g}, n={n}); near-critical beta mixes too slowly"
+                    f"(beta={beta:.4g}, n={n}): reached horizon {horizon} after "
+                    f"{updates} site updates; near-critical beta mixes too slowly"
                 )
-        if np.array_equal(lo[:n], hi[:n]):
-            return lo[:n].astype(np.uint8)
+        if np.array_equal(lo, hi):
+            return lo.astype(np.uint8)
         horizon *= 2
 
 

@@ -289,6 +289,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="line 3"):
             dag_from_csv(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("# n=3\n1,x\n", r"line 2: vertex index must be an integer, got 'x'"),
+        ("# n=abc\n1,0\n", r"line 1: vertex count must be an integer, got 'abc'"),
+        ("# class=general\n1,0\n# root=x\n", r"line 3: root must be an integer, got 'x'"),
+    ])
+    def test_non_integer_field_reports_line(self, tmp_path, text, match):
+        path = tmp_path / "dag.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            dag_from_csv(path)
+
     def test_header_written(self, tmp_path):
         dag = tree_dag(3, [(0, 1), (1, 2)], root=1)
         path = tmp_path / "dag.csv"

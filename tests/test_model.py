@@ -257,6 +257,18 @@ class TestSuffStat:
             flipped = [1 - v for v in z]
             assert suff_stat_T(z, lattice33_second) == suff_stat_T(flipped, lattice33_second)
 
+    def test_matches_edge_loop_for_lists_and_uint8(self, lattice33_second):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            z = rng.integers(0, 2, size=9)
+            loop = sum(int(z[i]) == int(z[j]) for i, j in lattice33_second.edges)
+            for field in (z.tolist(), z.astype(np.uint8)):
+                assert suff_stat_T(field, lattice33_second) == loop
+
+    def test_wrong_length_rejected(self, lattice33_second):
+        with pytest.raises(ValueError, match="field length 8 does not match 9"):
+            suff_stat_T([0] * 8, lattice33_second)
+
 
 class TestMrfDensity:
     def test_beta_zero(self, lattice33_second):

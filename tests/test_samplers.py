@@ -298,7 +298,89 @@ class TestExchangeBeta:
         assert _ks(draws[5000:], grid, cdf) < 0.02
 
 
+def _reference_cftp(nug, beta, rng, step_cap=2**20, validate=False):
+    """The plain heat-bath CFTP kernel, kept as a reference.
+
+    Separate lower and upper chains, each with its own zero pad slot, and
+    one exp per site update. cftp_ising must reproduce it draw for draw.
+    """
+    if beta < 0:
+        raise ValueError("beta must be nonnegative (monotone regime)")
+    n = nug.n
+    if n == 0:
+        return np.zeros(0, dtype=np.uint8)
+    padded = []
+    for cls in nug.color_classes():
+        degs = np.array([nug.degree(v) for v in cls], dtype=np.float64)
+        mat = np.full((len(cls), max(int(degs.max()), 1)), n, dtype=np.intp)
+        for row, v in enumerate(cls):
+            nb = nug.neighbor_lists[v]
+            mat[row, : len(nb)] = nb
+        padded.append((cls, mat, degs))
+    uniforms = {}
+    horizon = 1
+    updates = 0
+    while True:
+        lo = np.zeros(n + 1)
+        hi = np.ones(n + 1)
+        hi[n] = 0.0
+        for t in range(-horizon, 0):
+            u = uniforms.get(t)
+            if u is None:
+                u = uniforms[t] = rng.random(n)
+            for cls, mat, deg in padded:
+                for state in (lo, hi):
+                    n1 = state[mat].sum(axis=1)
+                    p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * n1)))
+                    state[cls] = u[cls] < p1
+                updates += 2 * len(cls)
+                if validate and not (lo[:n] <= hi[:n]).all():
+                    raise AssertionError("sandwich ordering violated")
+            if updates > step_cap:
+                raise CoalescenceError("no coalescence")
+        if np.array_equal(lo[:n], hi[:n]):
+            return lo[:n].astype(np.uint8)
+        horizon *= 2
+
+
+def _cftp_outcome(kernel, nug, beta, seed, **kwargs):
+    """(draw, or None on CoalescenceError; the generator's next uniform)."""
+    rng = np.random.default_rng(seed)
+    try:
+        z = kernel(nug, beta, rng, **kwargs)
+    except CoalescenceError:
+        z = None
+    return z, rng.random()
+
+
+_REFERENCE_GRAPHS = {
+    "n=1": Nug(1, []),
+    "edgeless": Nug(5, []),
+    "star": Nug(6, [(0, k) for k in range(1, 6)]),
+    "disconnected": Nug(7, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]),
+    "4x4-second": build_lattice_nug(LatticeSpec(4, 4, "second")),
+    "5x7-first": build_lattice_nug(LatticeSpec(5, 7, "first")),
+    "star-300": Nug(301, [(0, k) for k in range(1, 301)]),  # counts need uint16
+}
+
+
 class TestCftp:
+    @pytest.mark.parametrize("name", sorted(_REFERENCE_GRAPHS))
+    @pytest.mark.parametrize("validate", [False, True])
+    def test_matches_reference_kernel(self, name, validate):
+        nug = _REFERENCE_GRAPHS[name]
+        for beta in (0.0, 0.1, 0.44, 0.9):
+            for seed in range(5):
+                for cap in (64, 2**14):
+                    kw = dict(step_cap=cap, validate=validate)
+                    want, want_next = _cftp_outcome(_reference_cftp, nug, beta, seed, **kw)
+                    got, got_next = _cftp_outcome(cftp_ising, nug, beta, seed, **kw)
+                    assert (want is None) == (got is None)
+                    if want is not None:
+                        assert got.dtype == np.uint8
+                        np.testing.assert_array_equal(got, want)
+                    assert got_next == want_next
+
     def test_beta_zero_is_fair_coin(self, lattice22):
         rng = np.random.default_rng(10)
         draws = np.array([cftp_ising(lattice22, 0.0, rng) for _ in range(6000)])
@@ -340,6 +422,15 @@ class TestCftp:
         nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
         rng = np.random.default_rng(14)
         with pytest.raises(CoalescenceError, match="no coalescence"):
+            cftp_ising(nug, 0.8, rng, step_cap=2000)
+
+    def test_step_cap_error_names_horizon_and_updates(self):
+        # 128 site updates per time step: horizons 1, 2, 4 and 8 spend 1920,
+        # and the first step from horizon 16 passes the cap at 2048.
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        rng = np.random.default_rng(14)
+        with pytest.raises(CoalescenceError,
+                           match="reached horizon 16 after 2048 site updates"):
             cftp_ising(nug, 0.8, rng, step_cap=2000)
 
     def test_negative_beta_rejected(self, lattice22):
