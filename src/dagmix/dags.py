@@ -11,6 +11,7 @@ undirected edge of the NUG. Three constructible classes are provided:
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 
 import numpy as np
 
@@ -28,26 +29,36 @@ class Dag:
     """Immutable directed acyclic graph stored as parent and child lists.
 
     The edge (child, parent) convention follows the factorization: vertex i
-    is conditioned on its parents pi(i). Construction verifies acyclicity
-    and, for tagged classes, the class invariant (single-parent spanning
-    tree, or single-orphan rooted DAG).
+    is conditioned on its parents pi(i). A parent listed twice counts once.
+    The parents also come as CSR arrays: edge_child and edge_parent list
+    every (child, parent) pair in directed_edges() order, and in_degree[i]
+    is the number of parents of i. Construction verifies acyclicity and,
+    for tagged classes, the class invariant (single-parent spanning tree,
+    or single-orphan rooted DAG).
     """
 
-    __slots__ = ("n", "parents", "children", "class_tag", "root")
+    __slots__ = ("n", "parents", "children", "edge_child", "edge_parent", "in_degree",
+                 "class_tag", "root")
 
     def __init__(self, parents, class_tag=CLASS_GENERAL, root=None):
         n = len(parents)
         if class_tag not in _CLASS_TAGS:
             raise ValueError(f"unknown DAG class tag: {class_tag!r}")
+        pa_sets = tuple(tuple(sorted(set(pa))) for pa in parents)
         kids = [[] for _ in range(n)]
-        for i, pa in enumerate(parents):
+        for i, pa in enumerate(pa_sets):
             for j in pa:
                 if not (0 <= j < n) or j == i:
                     raise ValueError(f"invalid parent {j} for vertex {i}")
                 kids[j].append(i)
         self.n = n
-        self.parents = tuple(tuple(sorted(set(pa))) for pa in parents)
-        self.children = tuple(tuple(sorted(k)) for k in kids)
+        self.parents = pa_sets
+        self.children = tuple(map(tuple, kids))  # ascending: built in vertex order
+        self.in_degree = np.fromiter(map(len, pa_sets), dtype=np.intp, count=n)
+        self.edge_child = np.repeat(np.arange(n), self.in_degree)
+        self.edge_parent = np.fromiter(
+            chain.from_iterable(pa_sets), dtype=np.intp, count=len(self.edge_child)
+        )
         self.class_tag = class_tag
         self.root = root
         self._check_acyclic()
@@ -81,7 +92,7 @@ class Dag:
                 raise ValueError("rooted DAG must have exactly one orphan, the root")
 
     def num_edges(self):
-        return sum(len(pa) for pa in self.parents)
+        return len(self.edge_parent)
 
     def directed_edges(self):
         """All (child, parent) pairs."""
@@ -202,12 +213,14 @@ class _UniformBuffer:
         return self.buf[i]
 
 
-def _wilson_tree(nug: Nug, rng, edge_weight=None) -> Dag:
+def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
     """Loop-erased random-walk spanning tree draw.
 
-    With edge_weight None the walk is simple and the skeleton is uniform
-    over all spanning trees; otherwise the walk moves from v to neighbor u
-    with probability proportional to edge_weight(v, u) and the skeleton
+    With cum None the walk is simple and the skeleton is uniform over all
+    spanning trees. Otherwise cum[v] lists the cumulative edge weights over
+    v's neighbors (row v of nug.padded_neighbors(), padding weighted 0, so
+    cum[v][-1] is the total): the walk moves from v to neighbor u with
+    probability proportional to the weight of (v, u), and the skeleton
     probability is proportional to the product of its edge weights. The
     root is uniform and edges point away from it; following the walk's
     successor pointers, each vertex's parent is its neighbor on the path
@@ -222,17 +235,6 @@ def _wilson_tree(nug: Nug, rng, edge_weight=None) -> Dag:
     if n == 1:
         return Dag([[]], class_tag=CLASS_SPANNING_TREE, root=0)
     nbrs = nug.neighbor_lists
-    cum = None
-    if edge_weight is not None:
-        # Per-vertex cumulative weights over the (fixed) neighbor lists.
-        cum = []
-        for v in range(n):
-            acc = 0.0
-            row = []
-            for u in nbrs[v]:
-                acc += edge_weight(v, u)
-                row.append(acc)
-            cum.append(row)
     parent = [-1] * n
     in_tree = bytearray(n)
     in_tree[root] = 1
@@ -268,7 +270,7 @@ def _wilson_tree(nug: Nug, rng, edge_weight=None) -> Dag:
 
 def uniform_spanning_tree(nug: Nug, rng) -> Dag:
     """Uniform spanning tree of the NUG, rooted uniformly at random."""
-    return _wilson_tree(nug, rng, edge_weight=None)
+    return _wilson_tree(nug, rng)
 
 
 def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
@@ -282,12 +284,12 @@ def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     if beta == 0.0:
-        return _wilson_tree(nug, rng, edge_weight=None)
-    zz = list(z)
-    w_match = float(np.exp(beta))
-    return _wilson_tree(
-        nug, rng, edge_weight=lambda v, u: w_match if zz[v] == zz[u] else 1.0
-    )
+        return _wilson_tree(nug, rng)
+    nbrs = nug.padded_neighbors()
+    zz = np.append(np.asarray(z), 0)  # the padding index n reads this extra slot
+    weight = np.where(zz[nbrs] == zz[:-1, None], float(np.exp(beta)), 1.0)
+    weight[nbrs == nug.n] = 0.0
+    return _wilson_tree(nug, rng, np.cumsum(weight, axis=1).tolist())
 
 
 def markov_blanket(dag: Dag, i: int) -> set:

@@ -8,6 +8,7 @@ units. Vertices are dense 0-based indices; every edge carries a weight in
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +49,16 @@ class Nug:
     """Immutable undirected graph over n areal units.
 
     Edges are unordered pairs stored once as (i, j) with i < j; edge_i and
-    edge_j hold their endpoints as index arrays. Neighbor lists are sorted.
-    Instances are safe to share across chains; all derived structure
-    (adjacency, coloring, CFTP layout) is cached lazily.
+    edge_j hold their endpoints as index arrays. Neighbor lists are sorted,
+    and arc_i, arc_j list every neighbor pair in both directions in the same
+    order (CSR: arc_i ascending, degrees[i] entries per vertex). Instances
+    are safe to share across chains; all further derived structure
+    (adjacency, coloring, padded neighbors, CFTP layout) is cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
-                 "_adjacency", "_color_classes", "_sandwich_layout")
+                 "arc_i", "arc_j", "degrees",
+                 "_adjacency", "_color_classes", "_padded_neighbors", "_sandwich_layout")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -93,8 +97,14 @@ class Nug:
         self.edge_j = np.array([j for _, j in canon], dtype=np.intp)
         self.weights = {e: wmap.get(e, 1) for e in canon}
         self.neighbor_lists = tuple(tuple(sorted(x)) for x in nbrs)
+        self.degrees = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
+        self.arc_i = np.repeat(np.arange(n), self.degrees)
+        self.arc_j = np.fromiter(
+            chain.from_iterable(self.neighbor_lists), dtype=np.intp, count=2 * len(canon)
+        )
         self._adjacency = None
         self._color_classes = None
+        self._padded_neighbors = None
         self._sandwich_layout = None
 
     def neighbors(self, i):
@@ -137,37 +147,44 @@ class Nug:
             )
         return self._color_classes
 
+    def padded_neighbors(self):
+        """(n, max degree) matrix whose row i lists i's neighbors, padded with index n."""
+        if self._padded_neighbors is None:
+            width = int(self.degrees.max(initial=0))
+            mat = np.full((self.n, width), self.n, dtype=np.intp)
+            starts = np.cumsum(self.degrees) - self.degrees
+            mat[self.arc_i, np.arange(len(self.arc_i)) - starts[self.arc_i]] = self.arc_j
+            self._padded_neighbors = mat
+        return self._padded_neighbors
+
     def sandwich_layout(self):
         """Stacked index arrays for the monotone CFTP sweep.
 
         The lower and upper chains share one state vector of length
         2(n+1): lower sites, a zero pad slot, upper sites, a second zero
-        pad. Returns (classes, degrees, order). Per color class, classes
+        pad. Returns (classes, order). Per color class, classes
         holds (sites, neighbors, span): sites are the class's vertices in
         both halves, neighbors is a contiguous (width, len(sites)) matrix
         whose column j lists the neighbors of sites[j] in the same half,
         padded with that half's zero slot, and span is the class's slice of
-        an array laid out like order. degrees gives each vertex's degree;
-        order lists the vertex behind every stacked site, class by class.
+        an array laid out like order, which lists the vertex behind every
+        stacked site, class by class.
         """
         if self._sandwich_layout is None:
             n = self.n
             classes = []
             order = [np.zeros(0, dtype=np.intp)]
             start = 0
+            padded = self.padded_neighbors()
             for cls in self.color_classes():
-                width = max((len(self.neighbor_lists[v]) for v in cls), default=0)
-                mat = np.full((width, len(cls)), n, dtype=np.intp)
-                for col, v in enumerate(cls):
-                    nb = self.neighbor_lists[v]
-                    mat[: len(nb), col] = nb
+                width = int(self.degrees[cls].max(initial=0))
+                mat = np.ascontiguousarray(padded[cls, :width].T)  # C order keeps the sums fast
                 sites = np.concatenate([cls, cls + n + 1])
                 nbrs = np.concatenate([mat, mat + n + 1], axis=1)
                 classes.append((sites, nbrs, slice(start, start + len(sites))))
                 order += [cls, cls]
                 start += len(sites)
-            degrees = np.array([len(nb) for nb in self.neighbor_lists], dtype=np.intp)
-            self._sandwich_layout = (tuple(classes), degrees, np.concatenate(order))
+            self._sandwich_layout = (tuple(classes), np.concatenate(order))
         return self._sandwich_layout
 
     def __repr__(self):

@@ -127,70 +127,83 @@ class PriorSpec:
             raise ValueError("beta_max must be positive")
 
 
-def _log_two_exp(a, b):
-    """log(e^a + e^b), stable."""
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
-
-
-def _as_ints(z, n=None):
+def _as_ints(z):
     """The field as a list of Python ints, so that uint8 input cannot wrap around."""
-    zz = np.asarray(z, dtype=np.int64).tolist()
-    if n is not None and len(zz) != n:
-        raise ValueError(f"field length {len(zz)} does not match {n} units")
-    return zz
+    return np.asarray(z, dtype=np.int64).tolist()
 
 
 def _prob_one(logit):
     return 1.0 / (1.0 + math.exp(-logit))
 
 
-def _site_log_conditional(z_i, n1, k, beta):
-    """log p(z_i | k conditioning sites, n1 of them at one).
+# Site i's log conditional given k conditioning sites is
+#   beta * #matching - log(e^{beta * #at 0} + e^{beta * #at 1}) = -softplus(beta * d_i)
+# with softplus(x) = log(1 + e^x) and the integer balance
+# d_i = #mismatching - #matching in [-k, k]. Every prior term below is scored
+# from these balances.
 
-    beta * #matches - log(e^{beta * #at 0} + e^{beta * #at 1}); an empty
-    conditioning set gives log 1/2.
+
+def _balance_histogram(z, site, cond, degree):
+    """(hist, excess): hist[a] counts the sites with |balance| a; excess sums the positive balances.
+
+    (site[e], cond[e]) pairs every site with each member of its conditioning
+    set, and degree[i] is the size of site i's set. z may be a list or an
+    int, uint8 or bool array.
     """
-    n0 = k - n1
-    match = n1 if z_i == 1 else n0
-    return beta * match - _log_two_exp(beta * n0, beta * n1)
+    zz = np.asarray(z)
+    if len(zz) != len(degree):
+        raise ValueError(f"field length {len(zz)} does not match {len(degree)} units")
+    d = degree - 2 * np.bincount(site[zz[site] == zz[cond]], minlength=len(degree))
+    return np.bincount(np.abs(d)), int(np.maximum(d, 0).sum())
 
 
-def _log_site_product(zz, sets, beta):
-    """Sum over sites i of log p(z_i | z_{sets[i]})."""
-    out = 0.0
-    for i, s in enumerate(sets):
-        n1 = 0
-        for j in s:
-            n1 += zz[j]
-        out += _site_log_conditional(zz[i], n1, len(s), beta)
-    return out
+def _log_site_product(hist, excess, beta):
+    """Sum over sites of -softplus(beta * d_i), from _balance_histogram's output.
+
+    softplus(x) = x + softplus(-x) turns the sum into beta * excess plus
+    softplus(-beta * |d_i|) terms. Summed once with fsum, equal (hist,
+    excess) pairs give exactly equal values, so tied DAGs have a log ratio
+    of exactly 0.
+    """
+    sp = np.logaddexp(0.0, -beta * np.arange(len(hist)))
+    return -math.fsum([beta * excess, *(hist * sp).tolist()])
 
 
-def _conditional_logit(i, zz, parents, children, beta):
+def _child_table(dag: Dag, beta):
+    """softplus(beta * d) for every balance d of a child of the DAG, as a list indexed by d.
+
+    A negative d sits at the end of the list, where negative indexing reads it.
+    """
+    width = int(dag.in_degree.max(initial=0))
+    d = np.arange(2 * width + 1)
+    d[width + 1:] -= 2 * width + 1
+    return np.logaddexp(0.0, beta * d).tolist()
+
+
+def _conditional_logit(i, zz, parents, children, beta, sp):
     """log p(z_i=1 | rest) - log p(z_i=0 | rest) under prod_k p(z_k | z_{parents[k]}).
 
-    children[i] lists the sites whose conditioning sets contain i. Site i's
-    own normalizer does not depend on z_i, but each child's does. With no
-    children this is the Ising full conditional over the set parents[i].
+    children[i] lists the sites whose conditioning sets contain i, and sp is
+    _child_table's list (unused when there are none). Site i's own normalizer
+    does not depend on z_i, but each child's does. With no children this is
+    the Ising full conditional over the set parents[i].
     """
     pa = parents[i]
-    ch = children[i]
     n1 = 0
     for j in pa:
         n1 += zz[j]
-    for k in ch:
-        n1 += zz[k]
-    logit = beta * (2 * n1 - len(pa) - len(ch))
-    for k in ch:
+    logit = beta * (2 * n1 - len(pa))
+    for k in children[i]:
         s1 = -zz[i]
         for j in parents[k]:
             s1 += zz[j]
-        pk = len(parents[k])
-        # child k's normalizer with z_i = 1 versus z_i = 0
-        logit -= _log_two_exp(beta * (pk - s1 - 1), beta * (s1 + 1))
-        logit += _log_two_exp(beta * (pk - s1), beta * s1)
+        # child k's balance with z_i = 0 is d0 if z_k = 1 and -d0 if z_k = 0;
+        # z_i = 1 adds a match (balance - 2) or a mismatch (balance + 2)
+        d0 = len(parents[k]) - 2 * s1
+        if zz[k]:
+            logit += sp[d0] - sp[d0 - 2]
+        else:
+            logit += sp[-d0] - sp[2 - d0]
     return logit
 
 
@@ -225,15 +238,18 @@ def parent_conditional(z_i, z_parents, beta: float) -> float:
     """Conditional probability of z_i given its parents' values.
 
     exp(beta * #matches) / [exp(beta * #parents at 0) + exp(beta * #parents
-    at 1)]; an empty parent set gives 1/2 (both sums are empty).
+    at 1)] = 1 / (1 + e^{beta * d}) with the balance d = #mismatches -
+    #matches; an empty parent set gives 1/2.
     """
-    zp = _as_ints(list(z_parents))
-    return math.exp(_site_log_conditional(int(z_i), sum(zp), len(zp), beta))
+    zi = int(z_i)
+    d = sum(1 if v != zi else -1 for v in _as_ints(list(z_parents)))
+    return math.exp(-float(np.logaddexp(0.0, beta * d)))
 
 
 def log_dgm_prior(z, dag: Dag, beta: float) -> float:
     """Log of the DAG-factorized prior: sum of parent conditionals."""
-    return _log_site_product(_as_ints(z, dag.n), dag.parents, beta)
+    hist, excess = _balance_histogram(z, dag.edge_child, dag.edge_parent, dag.in_degree)
+    return _log_site_product(hist, excess, beta)
 
 
 def _check_vertex(i, n):
@@ -249,7 +265,8 @@ def dgm_full_conditional_prior(i, z, dag: Dag, beta: float) -> float:
     which depend on z_i.
     """
     _check_vertex(i, dag.n)
-    return _prob_one(_conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta))
+    sp = _child_table(dag, beta)
+    return _prob_one(_conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta, sp))
 
 
 def dgm_full_conditional_posterior(i, z, dag: Dag, beta: float, eta: NoiseParams, y_i) -> float:
@@ -257,7 +274,8 @@ def dgm_full_conditional_posterior(i, z, dag: Dag, beta: float, eta: NoiseParams
     _check_vertex(i, dag.n)
     yi = np.asarray(y_i, dtype=np.int64).reshape(-1)
     ll1, ll0 = _unit_logliks(len(yi), int(yi.sum()), eta)
-    logit = _conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta)
+    sp = _child_table(dag, beta)
+    logit = _conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta, sp)
     return _prob_one(logit + (ll1 - ll0))
 
 
@@ -281,7 +299,8 @@ def mrf_full_conditional(i, z, nug: Nug, beta: float) -> float:
     """
     _check_vertex(i, nug.n)
     no_children = ((),) * nug.n
-    return _prob_one(_conditional_logit(i, _as_ints(z), nug.neighbor_lists, no_children, beta))
+    logit = _conditional_logit(i, _as_ints(z), nug.neighbor_lists, no_children, beta, None)
+    return _prob_one(logit)
 
 
 def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:
@@ -290,7 +309,8 @@ def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:
     Not a valid log density for beta > 0; summing its exponential over all
     fields does not give one.
     """
-    return _log_site_product(_as_ints(z, nug.n), nug.neighbor_lists, beta)
+    hist, excess = _balance_histogram(z, nug.arc_i, nug.arc_j, nug.degrees)
+    return _log_site_product(hist, excess, beta)
 
 
 def eta_full_conditional_params(obs: Observations, z, priors: PriorSpec):

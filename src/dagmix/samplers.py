@@ -32,6 +32,7 @@ from .model import (
     Observations,
     PriorSpec,
     _as_ints,
+    _child_table,
     _conditional_logit,
     _prob_one,
     _unit_logliks,
@@ -164,11 +165,11 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     dll = (ll1 - ll0).tolist()
     u = rng.random(n).tolist()
     if model in MDGM_MODELS:
-        parents, children = dag.parents, dag.children
+        parents, children, sp = dag.parents, dag.children, _child_table(dag, beta)
     else:
-        parents, children = nug.neighbor_lists, ((),) * n
+        parents, children, sp = nug.neighbor_lists, ((),) * n, None
     for i in range(n):
-        logit = _conditional_logit(i, zz, parents, children, beta) + dll[i]
+        logit = _conditional_logit(i, zz, parents, children, beta, sp) + dll[i]
         zz[i] = 1 if u[i] < _prob_one(logit) else 0
     return np.array(zz, dtype=np.uint8)
 
@@ -260,12 +261,12 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     n = nug.n
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    classes, degrees, order = nug.sandwich_layout()
-    k = np.arange(degrees.max() + 1, dtype=np.float64)
+    classes, order = nug.sandwich_layout()
+    k = np.arange(nug.degrees.max() + 1, dtype=np.float64)
     deg = k[:, None]
     p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * k)))
     p1[k > deg] = 2.0  # above the degree: never reached, never counted
-    site_p1 = p1[degrees]
+    site_p1 = p1[nug.degrees]
     count_type = np.min_scalar_type(len(k))  # holds every count and threshold
     thresholds = {}
     horizon = 1

@@ -22,7 +22,7 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
-from dagmix.dags import CLASS_ROOTED, CLASS_SPANNING_TREE
+from dagmix.dags import CLASS_ROOTED, CLASS_SPANNING_TREE, _wilson_tree
 from conftest import brute_force_spanning_trees, random_connected_nug, skeleton_key
 
 
@@ -31,10 +31,23 @@ class TestDagType:
         dag = Dag([[], [0], [0, 1]])
         assert dag.children == ((1, 2), (2,), ())
         assert dag.num_edges() == 3
+        assert dag.edge_child.tolist() == [1, 2, 2]
+        assert dag.edge_parent.tolist() == [0, 0, 1]
+        assert dag.in_degree.tolist() == [0, 1, 2]
+
+    def test_repeated_parent_counts_once(self):
+        dag = Dag([[], [0, 0]])
+        assert dag.parents == ((), (0,))
+        assert dag.children == ((1,), ())
+        assert dag.num_edges() == 1
+        assert dag.in_degree.tolist() == [0, 1]
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             Dag([[1], [2], [0]])
+        # 1 <-> 2, with vertex 1's parent 0 listed twice
+        with pytest.raises(ValueError, match="cycle"):
+            Dag([[], [0, 0, 2], [1]])
 
     def test_spanning_tree_invariants_enforced(self):
         with pytest.raises(ValueError, match="exactly one parent"):
@@ -237,6 +250,26 @@ class TestPosteriorSpanningTree:
         for c in counts.values():
             assert abs(c / draws - 0.25) < 0.015
 
+    def test_walk_weights_match_loop_reference(self):
+        nug = build_lattice_nug(LatticeSpec(4, 5, "second"))
+        for seed in range(5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = rng.integers(0, 2, size=nug.n).astype(np.uint8)
+            twin.integers(0, 2, size=nug.n)
+            beta = 0.2 + 0.3 * seed
+            w_match = float(np.exp(beta))
+            cum = []
+            for v in range(nug.n):
+                acc, row = 0.0, []
+                for u in nug.neighbor_lists[v]:
+                    acc += w_match if z[v] == z[u] else 1.0
+                    row.append(acc)
+                cum.append(row)
+            got = posterior_spanning_tree(nug, z, beta, rng)
+            ref = _wilson_tree(nug, twin, cum)
+            assert (got.parents, got.root) == (ref.parents, ref.root)
+            assert rng.random() == twin.random()
+
     def test_nonfinite_beta_rejected(self, cycle4):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
@@ -298,6 +331,14 @@ class TestSerialization:
         path = tmp_path / "dag.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match=match):
+            dag_from_csv(path)
+
+    def test_repeated_edge_line_counts_once(self, tmp_path):
+        path = tmp_path / "dag.csv"
+        path.write_text("1,0\n1,0\n")
+        assert dag_from_csv(path).children == ((1,), ())
+        path.write_text("1,0\n1,0\n1,2\n2,1\n")
+        with pytest.raises(ValueError, match="cycle"):
             dag_from_csv(path)
 
     def test_header_written(self, tmp_path):

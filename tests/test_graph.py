@@ -74,6 +74,12 @@ class TestNugInvariants:
                 assert j in nug.neighbors(i) and i in nug.neighbors(j)
             degree_total = sum(len(nug.neighbors(v)) for v in range(nug.n))
             assert degree_total == 2 * len(nug.edges)
+            arcs = [(i, j) for i in range(nug.n) for j in nug.neighbors(i)]
+            assert list(zip(nug.arc_i.tolist(), nug.arc_j.tolist())) == arcs
+            assert nug.degrees.tolist() == [nug.degree(v) for v in range(nug.n)]
+            width = max(nug.degrees)
+            padded = [list(nug.neighbors(v)) + [nug.n] * (width - nug.degree(v)) for v in range(nug.n)]
+            assert nug.padded_neighbors().tolist() == padded
 
     def test_color_classes_are_independent_sets(self, lattice33_second):
         classes = lattice33_second.color_classes()

@@ -27,6 +27,7 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
+from dagmix.model import _child_table, _conditional_logit
 from conftest import all_fields, quiet_obs, random_connected_nug
 
 
@@ -208,6 +209,10 @@ class TestDgmFullConditionals:
                         p1 / (p0 + p1)
                     )
 
+    def test_repeated_parent_counts_once(self):
+        expected = math.exp(0.8) / (math.exp(0.8) + 1)  # 0.690
+        assert dgm_full_conditional_prior(0, [0, 1], Dag([[], [0, 0]]), 0.8) == pytest.approx(expected)
+
     def test_posterior_reduces_to_prior_without_data(self):
         dag = Dag([[], [0], [1]])
         eta = NoiseParams(0.2, 0.8)
@@ -236,6 +241,116 @@ class TestDgmFullConditionals:
             for field in (z, np.array(z, dtype=np.uint8)):
                 got = dgm_full_conditional_posterior(i, field, dag, beta, eta, obs.y[i])
                 assert got == pytest.approx(w1 / (w0 + w1))
+
+
+# The per-site formulas the balance kernels replaced, kept as the reference.
+
+
+def _ref_log_two_exp(a, b):
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def _ref_site_log_conditional(z_i, n1, k, beta):
+    n0 = k - n1
+    match = n1 if z_i == 1 else n0
+    return beta * match - _ref_log_two_exp(beta * n0, beta * n1)
+
+
+def _ref_log_site_product(zz, sets, beta):
+    out = 0.0
+    for i, s in enumerate(sets):
+        n1 = sum(zz[j] for j in s)
+        out += _ref_site_log_conditional(zz[i], n1, len(s), beta)
+    return out
+
+
+def _ref_conditional_logit(i, zz, parents, children, beta):
+    pa, ch = parents[i], children[i]
+    n1 = sum(zz[j] for j in pa) + sum(zz[k] for k in ch)
+    logit = beta * (2 * n1 - len(pa) - len(ch))
+    for k in ch:
+        s1 = sum(zz[j] for j in parents[k]) - zz[i]
+        pk = len(parents[k])
+        logit -= _ref_log_two_exp(beta * (pk - s1 - 1), beta * (s1 + 1))
+        logit += _ref_log_two_exp(beta * (pk - s1), beta * s1)
+    return logit
+
+
+def _reference_cases():
+    """(NUG, DAGs on it) pairs: random graphs and DAGs, lattices, a star, n=0 and n=1."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for spec in (LatticeSpec(4, 5, "first"), LatticeSpec(4, 4, "second")):
+        nug = build_lattice_nug(spec)
+        perm = rng.permutation(nug.n)
+        cases.append((nug, [rooted_dag(nug, 0), rooted_dag(nug, 6), acyclic_orientation(nug, perm)]))
+    star = Nug(9, [(0, j) for j in range(1, 9)])
+    cases.append((star, [rooted_dag(star, 0), rooted_dag(star, 3), acyclic_orientation(star, range(9))]))
+    for n in (7, 10):
+        nug = random_connected_nug(rng, n, extra_edges=4)
+        cases.append((nug, [random_dag(rng, n, density) for density in (0.3, 0.7)]))
+    cases.append((Nug(5, []), [Dag([[]] * 5)]))
+    cases.append((Nug(1, []), [Dag([[]])]))
+    cases.append((Nug(0, []), [Dag([])]))
+    return cases
+
+
+class TestBalanceKernelsMatchSiteFormulas:
+    BETAS = (0.0, 0.3, 2.0, 40.0)
+
+    @staticmethod
+    def fields(n, rng):
+        for _ in range(3):
+            z = rng.integers(0, 2, size=n)
+            yield z.tolist(), z.tolist()
+            yield z.tolist(), z.astype(np.uint8)
+            yield z.tolist(), z.astype(bool)
+
+    def test_log_densities(self):
+        rng = np.random.default_rng(32)
+        for nug, dags in _reference_cases():
+            for zz, field in self.fields(nug.n, rng):
+                for beta in self.BETAS:
+                    expected = _ref_log_site_product(zz, nug.neighbor_lists, beta)
+                    got = pseudo_likelihood_log(field, nug, beta)
+                    assert got == pytest.approx(expected, rel=1e-9)
+                    for dag in dags:
+                        expected = _ref_log_site_product(zz, dag.parents, beta)
+                        assert log_dgm_prior(field, dag, beta) == pytest.approx(expected, rel=1e-9)
+
+    def test_conditional_logits(self):
+        rng = np.random.default_rng(33)
+        for nug, dags in _reference_cases():
+            no_children = ((),) * nug.n
+            for zz, field in self.fields(nug.n, rng):
+                for beta in self.BETAS:
+                    for i in range(nug.n):
+                        ref = _ref_conditional_logit(i, zz, nug.neighbor_lists, no_children, beta)
+                        got = _conditional_logit(i, zz, nug.neighbor_lists, no_children, beta, None)
+                        assert got == pytest.approx(ref, rel=1e-9)
+                        p = 1 / (1 + math.exp(-ref))
+                        assert mrf_full_conditional(i, field, nug, beta) == pytest.approx(p, rel=1e-9)
+                        for dag in dags:
+                            sp = _child_table(dag, beta)
+                            ref = _ref_conditional_logit(i, zz, dag.parents, dag.children, beta)
+                            got = _conditional_logit(i, zz, dag.parents, dag.children, beta, sp)
+                            assert got == pytest.approx(ref, rel=1e-9)
+                            p = 1 / (1 + math.exp(-ref))
+                            got = dgm_full_conditional_prior(i, field, dag, beta)
+                            assert got == pytest.approx(p, rel=1e-9)
+
+    def test_parent_conditional(self):
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            zp = rng.integers(0, 2, size=int(rng.integers(0, 9)))
+            for z_i in (0, 1):
+                for beta in self.BETAS:
+                    expected = math.exp(_ref_site_log_conditional(z_i, int(zp.sum()), len(zp), beta))
+                    for parents in (zp.tolist(), zp.astype(np.uint8), zp.astype(bool)):
+                        got = parent_conditional(z_i, parents, beta)
+                        assert got == pytest.approx(expected, rel=1e-9)
 
 
 class TestSuffStat:

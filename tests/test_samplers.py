@@ -28,6 +28,7 @@ from dagmix import (
     mh_update_dag,
     mrf_full_conditional,
     mrf_log_unnorm,
+    pseudo_likelihood_log,
     rooted_dag,
     run_chain,
     suff_stat_T,
@@ -176,6 +177,30 @@ class TestMhDag:
         tv = 0.5 * np.abs(empirical - target).sum()
         assert tv < 0.02
 
+    def test_tied_proposal_accepted_without_a_uniform(self):
+        # rooted DAGs with equal balance histograms have equal priors; the log
+        # ratio must be exactly 0, so the move accepts without drawing
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        z = np.random.default_rng(40).integers(0, 2, size=nug.n).astype(np.uint8)
+        dags = [rooted_dag(nug, r) for r in range(nug.n)]
+        hists = [
+            Counter(sum(1 if z[j] != z[i] else -1 for j in dag.parents[i]) for i in range(nug.n))
+            for dag in dags
+        ]
+        ties = 0
+        for a in range(nug.n):
+            for b in range(nug.n):
+                if a == b or hists[a] != hists[b]:
+                    continue
+                rng, twin = np.random.default_rng(a), np.random.default_rng(a)
+                cache = [dags[b]] * nug.n
+                got, accepted = mh_update_dag(z, nug, dags[a], 0.4, rng, CLASS_ROOTED, cache)
+                twin.integers(nug.n)
+                assert got is dags[b] and accepted
+                assert rng.random() == twin.random()
+                ties += 1
+        assert ties > 0
+
 
 def _grid_cdf(grid, log_density):
     dens = np.exp(log_density - log_density.max())
@@ -262,6 +287,37 @@ class TestMhBeta:
                                      sd=0.3, priors=priors)
             draws[k] = beta
         assert _ks(draws[5000:], grid, cdf) < 0.02
+
+
+    @pytest.mark.parametrize("model", [MDGM_ST, AMRF])
+    def test_log_ratio_is_difference_of_public_functions(self, model, monkeypatch):
+        nug = build_lattice_nug(LatticeSpec(4, 4, "second"))
+        setup = np.random.default_rng(41)
+        z = setup.integers(0, 2, size=nug.n).astype(np.uint8)
+        if model == MDGM_ST:
+            dag = samplers.uniform_spanning_tree(nug, setup)
+            name, density = "log_dgm_prior", lambda b: log_dgm_prior(z, dag, b)
+        else:
+            dag = None
+            name, density = "pseudo_likelihood_log", lambda b: pseudo_likelihood_log(z, nug, b)
+        # the move must score through the public function (the name the tracer wraps)
+        public, evaluated = getattr(samplers, name), []
+        monkeypatch.setattr(samplers, name, lambda *a: evaluated.append(a[-1]) or public(*a))
+        priors = PriorSpec(beta_max=2.0)
+        beta = 0.5
+        for seed in range(200):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            evaluated.clear()
+            got, accepted = mh_update_beta(z, nug, dag, beta, rng, model, sd=0.5, priors=priors)
+            proposal = twin.normal(beta, 0.5)
+            if 0.0 <= proposal <= priors.beta_max:
+                assert sorted(evaluated) == sorted([proposal, beta])
+                log_ratio = density(proposal) - density(beta)
+                expected = log_ratio >= 0 or twin.random() < math.exp(log_ratio)
+            else:
+                expected = False
+            assert (got, accepted) == ((proposal, True) if expected else (beta, False))
+            assert rng.random() == twin.random()
 
 
 class TestExchangeBeta:
