@@ -11,7 +11,6 @@ undirected edge of the NUG. Three constructible classes are provided:
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 
 import numpy as np
 
@@ -26,46 +25,61 @@ _CLASS_TAGS = (CLASS_SPANNING_TREE, CLASS_ROOTED, CLASS_ACYCLIC_ORIENTATION, CLA
 
 
 class Dag:
-    """Immutable directed acyclic graph stored as parent and child lists.
+    """Immutable directed acyclic graph stored as CSR parent arrays.
 
     The edge (child, parent) convention follows the factorization: vertex i
-    is conditioned on its parents pi(i). A parent listed twice counts once.
-    The parents also come as CSR arrays: edge_child and edge_parent list
-    every (child, parent) pair in directed_edges() order, and in_degree[i]
-    is the number of parents of i. Construction verifies acyclicity and,
-    for tagged classes, the class invariant (single-parent spanning tree,
-    or single-orphan rooted DAG).
+    is conditioned on its parents pi(i). edge_child and edge_parent list
+    every (child, parent) pair sorted by child, then parent; in_degree[i] is
+    the number of parents of i; the parents and children tuples are built on
+    first use. Dag(parents, ...) takes outside input (a parent listed twice
+    counts once) and verifies acyclicity and, for tagged classes, the class
+    invariant (single-parent spanning tree, or single-orphan rooted DAG).
+    The builders below make valid arrays and skip these checks.
     """
 
-    __slots__ = ("n", "parents", "children", "edge_child", "edge_parent", "in_degree",
-                 "class_tag", "root")
+    __slots__ = ("n", "edge_child", "edge_parent", "in_degree", "class_tag", "root",
+                 "_parents", "_children")
 
     def __init__(self, parents, class_tag=CLASS_GENERAL, root=None):
         n = len(parents)
         if class_tag not in _CLASS_TAGS:
             raise ValueError(f"unknown DAG class tag: {class_tag!r}")
-        pa_sets = tuple(tuple(sorted(set(pa))) for pa in parents)
-        kids = [[] for _ in range(n)]
-        for i, pa in enumerate(pa_sets):
-            for j in pa:
-                if not (0 <= j < n) or j == i:
-                    raise ValueError(f"invalid parent {j} for vertex {i}")
-                kids[j].append(i)
-        self.n = n
-        self.parents = pa_sets
-        self.children = tuple(map(tuple, kids))  # ascending: built in vertex order
-        self.in_degree = np.fromiter(map(len, pa_sets), dtype=np.intp, count=n)
-        self.edge_child = np.repeat(np.arange(n), self.in_degree)
-        self.edge_parent = np.fromiter(
-            chain.from_iterable(pa_sets), dtype=np.intp, count=len(self.edge_child)
-        )
-        self.class_tag = class_tag
-        self.root = root
+        pairs = sorted({(i, j) for i, pa in enumerate(parents) for j in pa})
+        for i, j in pairs:
+            if not (0 <= j < n) or j == i:
+                raise ValueError(f"invalid parent {j} for vertex {i}")
+        edge_child, edge_parent = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        self._set_arrays(n, edge_child, edge_parent, class_tag, root)
         self._check_acyclic()
         self._check_class()
 
+    def _set_arrays(self, n, edge_child, edge_parent, class_tag, root):
+        self.n = n
+        self.edge_child = edge_child
+        self.edge_parent = edge_parent
+        self.in_degree = np.bincount(edge_child, minlength=n)
+        self.class_tag = class_tag
+        self.root = root
+        self._parents = self._children = None
+
+    @property
+    def parents(self):
+        """parents[i]: the parents of vertex i, ascending."""
+        if self._parents is None:
+            self._parents = _split(self.edge_parent.tolist(), self.in_degree)
+        return self._parents
+
+    @property
+    def children(self):
+        """children[j]: the vertices with parent j, ascending."""
+        if self._children is None:
+            order = np.argsort(self.edge_parent, kind="stable")
+            kids = self.edge_child[order].tolist()
+            self._children = _split(kids, np.bincount(self.edge_parent, minlength=self.n))
+        return self._children
+
     def _check_acyclic(self):
-        indeg = [len(pa) for pa in self.parents]
+        indeg = self.in_degree.tolist()
         stack = [v for v in range(self.n) if indeg[v] == 0]
         seen = 0
         while stack:
@@ -96,21 +110,30 @@ class Dag:
 
     def directed_edges(self):
         """All (child, parent) pairs."""
-        return [(i, j) for i in range(self.n) for j in self.parents[i]]
+        return list(zip(self.edge_child.tolist(), self.edge_parent.tolist()))
 
     def __repr__(self):
         return f"Dag(n={self.n}, edges={self.num_edges()}, class={self.class_tag!r})"
+
+
+def _split(flat, counts):
+    """flat cut into consecutive tuples of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def _trusted_dag(n, edge_child, edge_parent, class_tag, root=None) -> Dag:
+    """A Dag from CSR arrays that its builder made valid, without the checks of Dag()."""
+    dag = Dag.__new__(Dag)
+    dag._set_arrays(n, edge_child, edge_parent, class_tag, root)
+    return dag
 
 
 def is_compatible(dag: Dag, nug: Nug) -> bool:
     """True iff every directed edge of the DAG is an undirected NUG edge."""
     if dag.n != nug.n:
         raise ValueError(f"vertex count mismatch: dag has {dag.n}, nug has {nug.n}")
-    edge_set = set(nug.edges)
-    for i, j in dag.directed_edges():
-        if ((i, j) if i < j else (j, i)) not in edge_set:
-            return False
-    return True
+    return set(skeleton(dag).edges) <= set(nug.edges)
 
 
 def skeleton(dag: Dag) -> Nug:
@@ -119,14 +142,19 @@ def skeleton(dag: Dag) -> Nug:
     return Nug(dag.n, sorted(edges))
 
 
-def rooted_dag(nug: Nug, root: int) -> Dag:
-    """The unique root-oriented DAG for the given root vertex.
+def _orient_by_label(nug: Nug, label, class_tag, root=None) -> Dag:
+    """Orient each NUG edge from its lower- to its higher-labelled end; equal labels drop it."""
+    li, lj = label[nug.edge_i], label[nug.edge_j]
+    keep = li != lj
+    up = (li < lj)[keep]
+    lo, hi = nug.edge_i[keep], nug.edge_j[keep]
+    child, parent = np.where(up, hi, lo), np.where(up, lo, hi)
+    order = np.lexsort((parent, child))
+    return _trusted_dag(nug.n, child[order], parent[order], class_tag, root)
 
-    Vertices are labeled with the minimum weighted path cost from the root
-    (Dijkstra; ties in the queue broken by lower vertex index). Each NUG
-    edge is oriented from the lower to the higher label; equal-label edges
-    are deleted.
-    """
+
+def _path_costs(nug: Nug, root: int) -> np.ndarray:
+    """Minimum weighted path cost from the root to every vertex (Dijkstra)."""
     if not (0 <= root < nug.n):
         raise ValueError(f"root {root} out of range")
     inf = float("inf")
@@ -143,74 +171,43 @@ def rooted_dag(nug: Nug, root: int) -> Dag:
                 label[u] = nd
                 heapq.heappush(heap, (nd, u))
     if inf in label:
-        raise DisconnectedGraphError("rooted DAG requires a connected NUG")
-    parents = [[] for _ in range(nug.n)]
-    for i, j in nug.edges:
-        if label[i] < label[j]:
-            parents[j].append(i)
-        elif label[j] < label[i]:
-            parents[i].append(j)
-        # equal labels: edge deleted
-    return Dag(parents, class_tag=CLASS_ROOTED, root=root)
+        raise DisconnectedGraphError(f"not every vertex is reachable from root {root}")
+    return np.array(label)
+
+
+def rooted_dag(nug: Nug, root: int) -> Dag:
+    """The unique root-oriented DAG for the given root vertex.
+
+    Vertices are labeled with the minimum weighted path cost from the root
+    (Dijkstra; ties in the queue broken by lower vertex index). Each NUG
+    edge is oriented from the lower to the higher label; equal-label edges
+    are deleted.
+    """
+    return _orient_by_label(nug, _path_costs(nug, root), CLASS_ROOTED, root)
 
 
 def acyclic_orientation(nug: Nug, perm) -> Dag:
     """Orient every NUG edge from the earlier to the later vertex in perm."""
-    order = list(perm)
-    if sorted(order) != list(range(nug.n)):
+    order = np.asarray(perm)
+    if order.shape != (nug.n,) or not np.array_equal(np.sort(order), np.arange(nug.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    rank = [0] * nug.n
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    parents = [[] for _ in range(nug.n)]
-    for i, j in nug.edges:
-        if rank[i] < rank[j]:
-            parents[j].append(i)
-        else:
-            parents[i].append(j)
-    return Dag(parents, class_tag=CLASS_ACYCLIC_ORIENTATION)
+    rank = np.empty(nug.n, dtype=np.intp)
+    rank[order] = np.arange(nug.n)
+    return _orient_by_label(nug, rank, CLASS_ACYCLIC_ORIENTATION)
 
 
 def tree_dag(n: int, tree_edges, root: int) -> Dag:
-    """Orient an undirected spanning tree away from the given root."""
-    nbrs = [[] for _ in range(n)]
-    for i, j in tree_edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    parents = [[] for _ in range(n)]
-    stack = [root]
-    visited = [False] * n
-    visited[root] = True
-    while stack:
-        v = stack.pop()
-        for u in nbrs[v]:
-            if not visited[u]:
-                visited[u] = True
-                parents[u].append(v)
-                stack.append(u)
-    if not all(visited):
-        raise ValueError("tree edges do not span all vertices")
-    return Dag(parents, class_tag=CLASS_SPANNING_TREE, root=root)
+    """Orient an undirected spanning tree away from the given root; ValueError if it is not one."""
+    tree = Nug(n, tree_edges)
+    if len(tree.edges) != n - 1:
+        raise ValueError(f"{len(tree.edges)} edges cannot form a spanning tree of {n} vertices")
+    return _orient_by_label(tree, _path_costs(tree, root), CLASS_SPANNING_TREE, root)
 
 
-class _UniformBuffer:
-    """Block-buffered uniforms; cuts per-draw RNG overhead in walk loops."""
-
-    __slots__ = ("rng", "buf", "i", "size")
-
-    def __init__(self, rng, size=65536):
-        self.rng = rng
-        self.size = size
-        self.buf = rng.random(size)
-        self.i = 0
-
-    def next(self):
-        i = self.i
-        if i >= self.size:
-            self.buf = self.rng.random(self.size)
-            i = 0
-        self.i = i + 1
-        return self.buf[i]
+def _uniforms(rng, size):
+    """Uniforms drawn in blocks of size; cuts per-draw RNG overhead in walk loops."""
+    while True:
+        yield from rng.random(size)
 
 
 def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
@@ -230,10 +227,8 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
     n = nug.n
     if not is_connected(nug):
         raise DisconnectedGraphError("spanning tree sampling requires a connected NUG")
-    buf = _UniformBuffer(rng, min(65536, max(1024, 16 * n)))
-    root = int(buf.next() * n)
-    if n == 1:
-        return Dag([[]], class_tag=CLASS_SPANNING_TREE, root=0)
+    uniform = _uniforms(rng, min(65536, max(1024, 16 * n))).__next__
+    root = int(uniform() * n)
     nbrs = nug.neighbor_lists
     parent = [-1] * n
     in_tree = bytearray(n)
@@ -246,10 +241,10 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
         while not in_tree[v]:
             nb = nbrs[v]
             if cum is None:
-                u = nb[int(buf.next() * len(nb))]
+                u = nb[int(uniform() * len(nb))]
             else:
                 row = cum[v]
-                x = buf.next() * row[-1]
+                x = uniform() * row[-1]
                 k = 0
                 while row[k] <= x:
                     k += 1
@@ -261,11 +256,9 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
             in_tree[v] = 1
             parent[v] = nxt[v]
             v = nxt[v]
-    return Dag(
-        [[parent[v]] if parent[v] >= 0 else [] for v in range(n)],
-        class_tag=CLASS_SPANNING_TREE,
-        root=root,
-    )
+    parent = np.array(parent, dtype=np.intp)
+    child = np.flatnonzero(parent >= 0)
+    return _trusted_dag(n, child, parent[child], CLASS_SPANNING_TREE, root)
 
 
 def uniform_spanning_tree(nug: Nug, rng) -> Dag:
@@ -283,8 +276,6 @@ def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    if beta == 0.0:
-        return _wilson_tree(nug, rng)
     nbrs = nug.padded_neighbors()
     zz = np.append(np.asarray(z), 0)  # the padding index n reads this extra slot
     weight = np.where(zz[nbrs] == zz[:-1, None], float(np.exp(beta)), 1.0)

@@ -291,19 +291,18 @@ STUDY_CSV_HEADER = ("setting_id,model,beta_true,eta,lambda,mean_accuracy,acc_lo,
                     "acc_hi,mean_rmse_T,rmse_lo,rmse_hi,elapsed_s")
 
 
-def study_to_csv(cells, fh, include_timing=True):
+def study_to_csv(cells, fh):
     """Study output CSV; elapsed_s is wall time and varies across runs."""
     fh.write(STUDY_CSV_HEADER + "\n")
     for c in cells:
         lam = repr(float(c.lam)) if c.lam is not None else ""
         acc = c.accuracy or BootstrapCI(float("nan"), float("nan"), float("nan"))
         rmse = c.rmse_T or BootstrapCI(float("nan"), float("nan"), float("nan"))
-        elapsed = repr(round(c.elapsed_s, 3)) if include_timing else ""
         fh.write(",".join([
             c.setting_id, c.model, repr(float(c.beta_true)), repr(float(c.eta)), lam,
             repr(acc.point), repr(acc.lo), repr(acc.hi),
             repr(rmse.point), repr(rmse.lo), repr(rmse.hi),
-            elapsed,
+            repr(round(c.elapsed_s, 3)),
         ]) + "\n")
 
 

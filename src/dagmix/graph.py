@@ -53,12 +53,14 @@ class Nug:
     and arc_i, arc_j list every neighbor pair in both directions in the same
     order (CSR: arc_i ascending, degrees[i] entries per vertex). Instances
     are safe to share across chains; all further derived structure
-    (adjacency, coloring, padded neighbors, CFTP layout) is cached lazily.
+    (adjacency, coloring, padded neighbors, CFTP layout, connectivity) is
+    cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
                  "arc_i", "arc_j", "degrees",
-                 "_adjacency", "_color_classes", "_padded_neighbors", "_sandwich_layout")
+                 "_adjacency", "_color_classes", "_padded_neighbors", "_sandwich_layout",
+                 "_connected")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -106,6 +108,7 @@ class Nug:
         self._color_classes = None
         self._padded_neighbors = None
         self._sandwich_layout = None
+        self._connected = True if n <= 1 else None  # else set by is_connected
 
     def neighbors(self, i):
         return self.neighbor_lists[i]
@@ -292,21 +295,21 @@ def laplacian(nug: Nug) -> np.ndarray:
 
 
 def is_connected(nug: Nug) -> bool:
-    """Breadth-first reachability of all n vertices from vertex 0."""
-    if nug.n <= 1:
-        return True
-    seen = bytearray(nug.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for u in nug.neighbor_lists[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                queue.append(u)
-    return count == nug.n
+    """Breadth-first reachability of all n vertices from vertex 0, cached on the Nug."""
+    if nug._connected is None:
+        seen = bytearray(nug.n)
+        seen[0] = 1
+        queue = deque([0])
+        count = 1
+        while queue:
+            v = queue.popleft()
+            for u in nug.neighbor_lists[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    count += 1
+                    queue.append(u)
+        nug._connected = count == nug.n
+    return nug._connected
 
 
 def _int_det_bareiss(a) -> int:

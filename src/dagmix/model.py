@@ -133,7 +133,10 @@ def _as_ints(z):
 
 
 def _prob_one(logit):
-    return 1.0 / (1.0 + math.exp(-logit))
+    try:
+        return 1.0 / (1.0 + math.exp(-logit))
+    except OverflowError:  # logit below about -709, where 1 / (1 + e^-logit) is e^logit in doubles
+        return math.exp(logit)
 
 
 # Site i's log conditional given k conditioning sites is

@@ -174,25 +174,32 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     return np.array(zz, dtype=np.uint8)
 
 
+def _draw_dag(nug: Nug, rng, class_tag, rooted_cache=None) -> Dag:
+    """A draw from the class prior: a uniform root or a uniform permutation.
+
+    rooted_cache, when given, is a per-root list whose None entries are
+    built on first draw.
+    """
+    if class_tag == CLASS_ROOTED:
+        root = int(rng.integers(nug.n))
+        if rooted_cache is None:
+            return rooted_dag(nug, root)
+        if rooted_cache[root] is None:
+            rooted_cache[root] = rooted_dag(nug, root)
+        return rooted_cache[root]
+    if class_tag == CLASS_ACYCLIC_ORIENTATION:
+        return acyclic_orientation(nug, rng.permutation(nug.n))
+    raise ValueError(f"MH DAG update is for rooted/orientation classes, not {class_tag!r}")
+
+
 def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, class_tag, rooted_cache=None):
     """Independence MH move on the DAG, proposing from the class prior.
 
     Proposal and prior cancel (uniform root for the rooted class; uniform
     permutation for orientations), leaving the prior-likelihood ratio
-    p(z|D*, beta) / p(z|D, beta). rooted_cache, when given, is a per-root
-    list whose None entries are built on first proposal.
+    p(z|D*, beta) / p(z|D, beta). rooted_cache is as in _draw_dag.
     """
-    if class_tag == CLASS_ROOTED:
-        root = int(rng.integers(nug.n))
-        proposal = rooted_cache[root] if rooted_cache is not None else None
-        if proposal is None:
-            proposal = rooted_dag(nug, root)
-            if rooted_cache is not None:
-                rooted_cache[root] = proposal
-    elif class_tag == CLASS_ACYCLIC_ORIENTATION:
-        proposal = acyclic_orientation(nug, rng.permutation(nug.n))
-    else:
-        raise ValueError(f"MH DAG update is for rooted/orientation classes, not {class_tag!r}")
+    proposal = _draw_dag(nug, rng, class_tag, rooted_cache)
     log_ratio = log_dgm_prior(z, proposal, beta) - log_dgm_prior(z, dag, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
@@ -335,7 +342,8 @@ def gibbs_update_eta(obs: Observations, z, eta: NoiseParams, priors: PriorSpec, 
     return NoiseParams(eta0=eta0, eta1=eta1), stalls
 
 
-def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng) -> ChainState:
+def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
+                   class_tag, rooted_cache) -> ChainState:
     init = config.init
     if init.eta is not None:
         eta = NoiseParams(float(init.eta[0]), float(init.eta[1]))
@@ -361,10 +369,8 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng) -> Chai
             raise ValueError("initial z has the wrong length")
     if config.model == MDGM_ST:
         dag = uniform_spanning_tree(nug, rng)
-    elif config.model == MDGM_ROOTED:
-        dag = rooted_dag(nug, int(rng.integers(nug.n)))
-    elif config.model == MDGM_AO:
-        dag = acyclic_orientation(nug, rng.permutation(nug.n))
+    elif class_tag is not None:
+        dag = _draw_dag(nug, rng, class_tag, rooted_cache)
     else:
         dag = None
     return ChainState(z=z, dag=dag, beta=beta, eta=eta)
@@ -383,10 +389,11 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     if not is_connected(nug):
         raise ValueError("the NUG must be connected")
     rng = np.random.default_rng(config.seed)
-    state = _initial_state(obs, nug, config, rng)
     model = config.model
-    # A k-iteration chain proposes at most k roots: build each on first use.
+    class_tag = {MDGM_ROOTED: CLASS_ROOTED, MDGM_AO: CLASS_ACYCLIC_ORIENTATION}.get(model)
+    # A k-iteration chain draws at most k + 1 roots: build each on first use.
     rooted_cache = [None] * nug.n if model == MDGM_ROOTED else None
+    state = _initial_state(obs, nug, config, rng, class_tag, rooted_cache)
 
     keep = config.iterations - config.burn_in
     rec_beta = np.empty(keep)
@@ -396,22 +403,18 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     rec_z = np.empty((keep, nug.n), dtype=np.uint8)
     rec_trees = [] if model == MDGM_ST else None
     accept = {"beta": [0, 0]}
-    if model in (MDGM_ROOTED, MDGM_AO):
+    if model in MDGM_MODELS:
         accept["dag"] = [0, 0]
-    elif model == MDGM_ST:
-        accept["dag"] = [0, 0]  # exact conditional draws: always accepted
     eta_stalls = 0
 
     for b in range(config.iterations):
-        if model == MDGM_ST:
-            state.dag = direct_update_st(state.z, nug, state.beta, rng)
-            accept["dag"][0] += 1
-            accept["dag"][1] += 1
-        elif model in (MDGM_ROOTED, MDGM_AO):
-            class_tag = CLASS_ROOTED if model == MDGM_ROOTED else CLASS_ACYCLIC_ORIENTATION
-            state.dag, ok = mh_update_dag(
-                state.z, nug, state.dag, state.beta, rng, class_tag, rooted_cache
-            )
+        if model in MDGM_MODELS:
+            if model == MDGM_ST:  # exact conditional draws: always accepted
+                state.dag, ok = direct_update_st(state.z, nug, state.beta, rng), True
+            else:
+                state.dag, ok = mh_update_dag(
+                    state.z, nug, state.dag, state.beta, rng, class_tag, rooted_cache
+                )
             accept["dag"][0] += ok
             accept["dag"][1] += 1
 

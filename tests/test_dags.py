@@ -352,3 +352,48 @@ def test_tree_dag_orients_away_from_root():
     dag = tree_dag(4, [(0, 1), (1, 2), (1, 3)], root=2)
     assert dag.parents == ((1,), (2,), (), (1,))
     assert dag.root == 2
+
+
+def test_tree_dag_rejects_edge_sets_that_are_not_spanning_trees():
+    with pytest.raises(ValueError):  # spans, with a cycle
+        tree_dag(3, [(0, 1), (1, 2), (0, 2)], root=0)
+    with pytest.raises(ValueError):  # a path that misses vertex 3
+        tree_dag(4, [(0, 1), (1, 2)], root=0)
+    with pytest.raises(ValueError):  # n - 1 edges: a triangle and an isolated vertex
+        tree_dag(4, [(0, 1), (1, 2), (0, 2)], root=0)
+
+
+def _builder_graph(name):
+    if name == "lattice-4x5-second":
+        return build_lattice_nug(LatticeSpec(4, 5, "second"))
+    n, extra = (int(x) for x in name.split("-")[1:])
+    return random_connected_nug(np.random.default_rng(n + 17 * extra), n, extra)
+
+
+@pytest.mark.parametrize("graph", [
+    "random-1-0", "random-2-0", "random-6-0", "random-6-4", "random-10-8", "random-13-20",
+    "lattice-4x5-second",
+])
+def test_builder_output_passes_boundary_validation(graph):
+    """Builders skip Dag()'s checks, so every output must pass them when re-entered."""
+    nug = _builder_graph(graph)
+    rng = np.random.default_rng(41)
+    z = rng.integers(0, 2, size=nug.n)
+    dags = [rooted_dag(nug, root) for root in range(nug.n)]
+    for perm in (rng.permutation(nug.n) for _ in range(10)):
+        dags.append(acyclic_orientation(nug, perm))
+        rank = {v: k for k, v in enumerate(perm)}  # loop reference: parents come earlier in perm
+        assert dags[-1].parents == tuple(
+            tuple(j for j in nug.neighbors(i) if rank[j] < rank[i]) for i in range(nug.n)
+        )
+    trees = [uniform_spanning_tree(nug, rng) for _ in range(10)]
+    trees += [posterior_spanning_tree(nug, z, beta, rng) for beta in (0.0, 0.6, 3.0) for _ in range(5)]
+    dags += trees
+    dags += [tree_dag(nug.n, skeleton(t).edges, (t.root + k) % nug.n) for k, t in enumerate(trees)]
+    for dag in dags:
+        again = Dag(dag.parents, dag.class_tag, dag.root)
+        for name in ("edge_child", "edge_parent", "in_degree"):
+            got, want = getattr(again, name), getattr(dag, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert again.children == dag.children
+        assert is_compatible(dag, nug)

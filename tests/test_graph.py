@@ -1,6 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
+from dagmix import graph
 from dagmix import (
     DisconnectedGraphError,
     GraphFormatError,
@@ -173,6 +176,21 @@ class TestConnectivity:
 
     def test_16x16_second(self):
         assert is_connected(build_lattice_nug(LatticeSpec(16, 16, "second")))
+
+    @pytest.mark.parametrize("edges, connected", [
+        ([(0, 1), (1, 2), (2, 3)], True), ([(0, 1), (2, 3)], False),
+    ])
+    def test_search_runs_once_per_graph(self, edges, connected, monkeypatch):
+        nug = Nug(4, edges)
+        searches = []
+
+        def counting_deque(items):
+            searches.append(items)
+            return deque(items)
+
+        monkeypatch.setattr(graph, "deque", counting_deque)
+        assert [is_connected(nug) for _ in range(3)] == [connected] * 3
+        assert len(searches) == 1
 
 
 class TestSpanningTreeCount:

@@ -35,7 +35,7 @@ from dagmix import (
     tree_dag,
 )
 from dagmix import samplers
-from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, CLASS_ROOTED
+from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, CLASS_ROOTED, Dag
 from dagmix.experiments import (
     enumerate_orientation_mixture,
     exact_posterior_oracle,
@@ -117,6 +117,25 @@ class TestGibbsZ:
             assert swept.dtype == np.uint8
             assert swept.tolist() == by_hand.tolist()
             z = swept
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_thousand_agreeing_ratings_do_not_overflow(self, model):
+        # unit 0's log-likelihood ratio is 1000 log(0.2 / 0.8) = -1386: e^1386 overflows a double
+        nug = Nug(2, [(0, 1)])
+        obs = Observations([[0] * 1000, [1]])
+        eta = NoiseParams(0.2, 0.8)
+        dag = {
+            MDGM_ST: tree_dag(2, [(0, 1)], root=1),
+            MDGM_ROOTED: rooted_dag(nug, 1),
+            MDGM_AO: acyclic_orientation(nug, [1, 0]),
+        }.get(model)
+        rng = np.random.default_rng(5)
+        z = np.ones(2, dtype=np.uint8)
+        for _ in range(10):
+            z = gibbs_update_z(z, nug, dag, 0.5, eta, obs, rng, model)
+            assert z[0] == 0
+        if dag is not None:
+            assert 0.0 <= dgm_full_conditional_posterior(0, [1, 1], dag, 0.5, eta, obs.y[0]) < 1e-300
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_long_run_marginals_match_oracle(self, model, lattice22, obs22):
@@ -598,8 +617,18 @@ class TestRunChain:
         monkeypatch.setattr(samplers, "rooted_dag", counting_rooted_dag)
         obs = quiet_obs([[1, 0]] * nug.n)
         run_chain(obs, nug, McmcConfig(iterations=5, burn_in=0, seed=3, model=MDGM_ROOTED))
-        # the initial DAG plus at most one new root per iteration
+        # the initial DAG plus at most one new root per iteration, each built once
         assert 1 <= len(roots) <= 6
+        assert len(roots) == len(set(roots))
+
+    def test_chain_dags_skip_boundary_validation(self, lattice22, obs22, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("a sampler-made DAG was validated")
+
+        monkeypatch.setattr(Dag, "_check_acyclic", forbidden)
+        monkeypatch.setattr(Dag, "_check_class", forbidden)
+        for model in (MDGM_ST, MDGM_ROOTED, MDGM_AO):
+            run_chain(obs22, lattice22, McmcConfig(iterations=30, burn_in=10, seed=4, model=model))
 
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
