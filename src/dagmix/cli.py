@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 from . import __version__
@@ -38,6 +40,32 @@ class UsageError(ValueError):
     """Invalid flag combination or value; exits with code 2."""
 
 
+@contextmanager
+def _output_file(path):
+    """A text handle whose contents take the place of path only once complete.
+
+    The text goes to a new temporary file in path's directory. When the
+    block ends, the old file is unlinked and the temporary file renamed to
+    path. If anything raises first, the temporary file is removed and the
+    old output is left untouched, so an output is never torn. The trade-off:
+    between the unlink and the rename, path briefly does not exist while
+    the complete new file sits under its temporary name. os.replace would
+    close that gap, but replacing a non-empty file costs as much as
+    truncating it in place on some file systems, and an unlink does not.
+    """
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(path)
+        os.rename(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 class IdMap:
     """Bijection between external unit-ID strings and dense 0-based indices."""
 
@@ -58,7 +86,7 @@ class IdMap:
         return cls({str(k): int(v) for k, v in raw.items()})
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with _output_file(path) as fh:
             json.dump(self.mapping, fh, indent=0, sort_keys=True)
             fh.write("\n")
 
@@ -215,7 +243,7 @@ def _write_manifest(out_path, args):
             k: v for k, v in sorted(vars(args).items()) if k != "command"
         },
     }
-    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
+    with _output_file(str(out_path) + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -247,7 +275,7 @@ def cmd_simulate(args) -> int:
     failures = [(c.setting_id, c.model, f) for c in cells for f in c.failures]
     for setting, model, (rep, msg) in failures:
         print(f"warning: {setting}/{model} replication {rep} failed: {msg}", file=sys.stderr)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output_file(args.out) as fh:
         study_to_csv(cells, fh)
     _write_manifest(args.out, args)
     if all(c.accuracy is None for c in cells):
@@ -274,10 +302,10 @@ def cmd_fit(args) -> int:
     obs, idmap = _load_data(args, nug)
     config = replace(_chain_template(args), model=args.model)
     samples = run_chain(obs, nug, config)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output_file(args.out) as fh:
         samples.to_jsonl(fh)
     zbar = samples.z_mean()
-    with open(str(args.out) + ".zmean.csv", "w", encoding="utf-8") as fh:
+    with _output_file(str(args.out) + ".zmean.csv") as fh:
         fh.write("unit_id,posterior_mean_z\n")
         for i in range(nug.n):
             fh.write(f"{idmap.name_of(i)},{repr(float(zbar[i]))}\n")
@@ -296,7 +324,7 @@ def cmd_crossval(args) -> int:
         obs, nug, holdout_count=args.holdout, iterations=args.iterations,
         mcmc=template, models=models, seed=args.seed,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _output_file(args.out) as fh:
         crossval_to_csv(records, fh)
     idmap.to_json(str(args.out) + ".idmap.json")
     _write_manifest(args.out, args)

@@ -53,13 +53,13 @@ class Nug:
     and arc_i, arc_j list every neighbor pair in both directions in the same
     order (CSR: arc_i ascending, degrees[i] entries per vertex). Instances
     are safe to share across chains; all further derived structure
-    (adjacency, coloring, padded neighbors, CFTP layout, connectivity) is
-    cached lazily.
+    (adjacency, coloring, padded neighbors, heat-bath layouts,
+    connectivity) is cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
                  "arc_i", "arc_j", "degrees",
-                 "_adjacency", "_color_classes", "_padded_neighbors", "_sandwich_layout",
+                 "_adjacency", "_color_classes", "_padded_neighbors", "_class_layouts",
                  "_connected")
 
     def __init__(self, n, edges, weights=None):
@@ -107,7 +107,7 @@ class Nug:
         self._adjacency = None
         self._color_classes = None
         self._padded_neighbors = None
-        self._sandwich_layout = None
+        self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
 
     def neighbors(self, i):
@@ -160,21 +160,23 @@ class Nug:
             self._padded_neighbors = mat
         return self._padded_neighbors
 
-    def sandwich_layout(self):
-        """Stacked index arrays for the monotone CFTP sweep.
+    def class_layout(self, copies):
+        """Index arrays for a class-by-class heat-bath pass over stacked copies of the field.
 
-        The lower and upper chains share one state vector of length
-        2(n+1): lower sites, a zero pad slot, upper sites, a second zero
-        pad. Returns (classes, order). Per color class, classes
-        holds (sites, neighbors, span): sites are the class's vertices in
-        both halves, neighbors is a contiguous (width, len(sites)) matrix
-        whose column j lists the neighbors of sites[j] in the same half,
-        padded with that half's zero slot, and span is the class's slice of
-        an array laid out like order, which lists the vertex behind every
-        stacked site, class by class.
+        The copies share one state vector of length copies * (n+1): each
+        copy's n sites followed by a zero pad slot. The z sweep uses one
+        copy; CFTP stacks its lower and upper chains as two. Returns
+        (classes, order). Per color class, classes holds (sites, neighbors,
+        span): sites are the class's vertices in every copy, neighbors is a
+        contiguous (width, len(sites)) matrix whose column j lists the
+        neighbors of sites[j] in the same copy, padded with that copy's zero
+        slot, and span is the class's slice of an array laid out like order,
+        which lists the vertex behind every stacked site, class by class.
         """
-        if self._sandwich_layout is None:
+        layout = self._class_layouts.get(copies)
+        if layout is None:
             n = self.n
+            offsets = range(0, copies * (n + 1), n + 1)
             classes = []
             order = [np.zeros(0, dtype=np.intp)]
             start = 0
@@ -182,13 +184,13 @@ class Nug:
             for cls in self.color_classes():
                 width = int(self.degrees[cls].max(initial=0))
                 mat = np.ascontiguousarray(padded[cls, :width].T)  # C order keeps the sums fast
-                sites = np.concatenate([cls, cls + n + 1])
-                nbrs = np.concatenate([mat, mat + n + 1], axis=1)
+                sites = np.concatenate([cls + off for off in offsets])
+                nbrs = np.concatenate([mat + off for off in offsets], axis=1)
                 classes.append((sites, nbrs, slice(start, start + len(sites))))
-                order += [cls, cls]
+                order += [cls] * copies
                 start += len(sites)
-            self._sandwich_layout = (tuple(classes), np.concatenate(order))
-        return self._sandwich_layout
+            layout = self._class_layouts[copies] = (tuple(classes), np.concatenate(order))
+        return layout
 
     def __repr__(self):
         return f"Nug(n={self.n}, edges={len(self.edges)})"

@@ -153,25 +153,57 @@ class PosteriorSamples:
 
 
 def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng, model):
-    """One systematic sweep (ascending index) over the latent field.
+    """One systematic sweep over the latent field, one uniform u_i per site.
 
-    DAG-mixture models draw each site from its DAG-posterior full
-    conditional; amrf and the exact MRF both use the MRF full conditional
-    times the unit likelihood.
+    DAG-mixture models draw each site in ascending index from its
+    DAG-posterior full conditional, z_i = 1 when u_i < P(z_i = 1 | rest).
+    amrf and the exact MRF use the MRF full conditional times the unit
+    likelihood, with log-odds beta * (2 n1_i - deg_i) + dll_i for n1_i
+    neighbors at one and the unit's log-likelihood difference dll_i. They
+    sweep class by class over Nug.color_classes(): sites in one class are
+    not adjacent, so they are conditionally independent given the rest and
+    a whole class updates at once, still a systematic scan. Their beta must
+    be nonnegative: then the log-odds rise with n1_i, and z_i = 1 exactly
+    when n1_i reaches the threshold #{k : beta * (2k - deg_i) + dll_i <=
+    log u_i - log(1 - u_i)}. The heat-bath kernel shared with cftp_ising
+    compares the counts against these thresholds, with no exp to overflow.
     """
-    zz = _as_ints(z)
     n = nug.n
     ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
-    dll = (ll1 - ll0).tolist()
-    u = rng.random(n).tolist()
+    u = rng.random(n)
     if model in MDGM_MODELS:
+        zz = _as_ints(z)
+        dll = (ll1 - ll0).tolist()
+        u = u.tolist()
         parents, children, sp = dag.parents, dag.children, _child_table(dag, beta)
-    else:
-        parents, children, sp = nug.neighbor_lists, ((),) * n, None
-    for i in range(n):
-        logit = _conditional_logit(i, zz, parents, children, beta, sp) + dll[i]
-        zz[i] = 1 if u[i] < _prob_one(logit) else 0
-    return np.array(zz, dtype=np.uint8)
+        for i in range(n):
+            logit = _conditional_logit(i, zz, parents, children, beta, sp) + dll[i]
+            zz[i] = 1 if u[i] < _prob_one(logit) else 0
+        return np.array(zz, dtype=np.uint8)
+    if beta < 0:
+        raise ValueError("beta must be nonnegative (monotone regime)")
+    classes, order = nug.class_layout(1)
+    width = int(nug.degrees.max(initial=0))
+    count_type = np.min_scalar_type(width + 1)  # holds every count and threshold
+    # beta * (2k - deg_i) + dll_i <= logit(u_i) is 2 beta k <= x_i. Counting k
+    # past deg_i changes no update, since n1_i <= deg_i.
+    x = special.logit(u) - (ll1 - ll0) + beta * nug.degrees
+    thr = np.searchsorted(2.0 * beta * np.arange(width + 1), x[order], side="right")
+    state = np.zeros(n + 1, dtype=count_type)  # the field, then a zero pad slot
+    state[:n] = z
+    _heat_bath_step(state, classes, thr.astype(count_type))
+    return state[:n].astype(np.uint8)
+
+
+def _heat_bath_step(state, classes, thr):
+    """One heat-bath pass over the classes of a Nug.class_layout.
+
+    A site takes value one when its count of neighbors at one reaches its
+    threshold; thr is laid out like the layout's order. Each class updates
+    at once with one gather, sum, compare and scatter.
+    """
+    for sites, nbrs, span in classes:
+        state[sites] = state[nbrs].sum(axis=0, dtype=state.dtype) >= thr[span]
 
 
 def _draw_dag(nug: Nug, rng, class_tag, rooted_cache=None) -> Dag:
@@ -254,13 +286,14 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
 
     Monotone sandwich of the all-zeros and all-ones chains under shared
     single-site heat-bath updates; the two chains are stacked in one state
-    vector (Nug.sandwich_layout). One uniform per (time step, vertex) is
+    vector (Nug.class_layout(2)). One uniform per (time step, vertex) is
     drawn and reused as the start time doubles backwards. A vertex of
     degree d with n1 neighbors at one takes value one when u < p1[d, n1],
     and p1 rises with n1, so each uniform is cached as the threshold
     #{k : p1[d, k] <= u} and the update becomes n1 >= threshold. Within a
     time step, vertices are updated by independent color class (equivalent
-    to a fixed systematic site order, but vectorizable). Raises
+    to a fixed systematic site order, but vectorizable), by the heat-bath
+    kernel that the MRF z sweep also uses. Raises
     CoalescenceError when step_cap site updates pass without coalescence.
     """
     if beta < 0:
@@ -268,7 +301,7 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     n = nug.n
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    classes, order = nug.sandwich_layout()
+    classes, order = nug.class_layout(2)
     k = np.arange(nug.degrees.max() + 1, dtype=np.float64)
     deg = k[:, None]
     p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * k)))
@@ -289,10 +322,12 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
                 u = rng.random(n)
                 thr = (site_p1 <= u[:, None]).sum(axis=1, dtype=count_type)[order]
                 thresholds[t] = thr
-            for sites, nbrs, span in classes:
-                state[sites] = state[nbrs].sum(axis=0, dtype=count_type) >= thr[span]
-                if validate and not (lo <= hi).all():
-                    raise AssertionError("sandwich ordering violated")
+            _heat_bath_step(state, classes, thr)
+            # a step writes each site once, and the site keeps that value to
+            # the step's end, so an order violation after any class still
+            # shows here
+            if validate and not (lo <= hi).all():
+                raise AssertionError("sandwich ordering violated")
             updates += 2 * n
             if updates > step_cap:
                 raise CoalescenceError(

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dagmix.cli import IdMap, main
+from dagmix.cli import IdMap, _output_file, main
+from dagmix.samplers import PosteriorSamples
 
 
 def write_cycle4(path):
@@ -213,6 +214,50 @@ class TestFit:
         assert code == 0
         zmean = (tmp_path / "fit.jsonl.zmean.csv").read_text()
         assert zmean.splitlines()[1].startswith("a,")
+
+    def test_failed_write_leaves_old_outputs_intact(self, tmp_path, monkeypatch, capsys):
+        data = self.setup_inputs(tmp_path)
+        out = tmp_path / "fit.jsonl"
+        args = ["fit", "--rows", "3", "--cols", "3", "--order", "first",
+                "--data", str(data), "--model", "amrf", "--iters", "60",
+                "--burnin", "30", "--out", str(out)]
+        assert main([*args, "--seed", "4"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def torn_to_jsonl(self, fh):
+            fh.write('{"iter": 30, "be')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(PosteriorSamples, "to_jsonl", torn_to_jsonl)
+        assert main([*args, "--seed", "5"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        # every old output byte-identical, and no temporary file left behind
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+class TestOutputFile:
+    def test_replaces_only_when_complete(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with _output_file(path) as fh:
+            fh.write("first\n")
+            assert not path.exists()
+        assert path.read_text() == "first\n"
+        with _output_file(path) as fh:
+            fh.write("second\n")
+            assert path.read_text() == "first\n"
+        assert path.read_text() == "second\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_raising_block_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\r\nbytes")
+        with pytest.raises(KeyboardInterrupt):
+            with _output_file(path) as fh:
+                fh.write("partial")
+                fh.flush()
+                raise KeyboardInterrupt
+        assert path.read_bytes() == b"old\r\nbytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCrossval:

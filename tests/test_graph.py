@@ -94,6 +94,33 @@ class TestNugInvariants:
                     assert (min(a, b), max(a, b)) not in edge_set or a == b
 
 
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    def test_class_layout_gathers_each_copys_neighbors(self, copies):
+        rng = np.random.default_rng(copies)
+        for nug in (random_connected_nug(rng, 9), Nug(1, []), Nug(4, []),
+                    build_lattice_nug(LatticeSpec(3, 4, "second"))):
+            n = nug.n
+            classes, order = nug.class_layout(copies)
+            fields = rng.integers(0, 2, size=(copies, n))
+            state = np.zeros(copies * (n + 1), dtype=np.int64)
+            for c in range(copies):
+                state[c * (n + 1): c * (n + 1) + n] = fields[c]
+            seen = []
+            for sites, nbrs, span in classes:
+                assert nbrs.flags.c_contiguous and nbrs.shape[1] == len(sites)
+                counts = state[nbrs].sum(axis=0)
+                for j, site in enumerate(sites.tolist()):
+                    c, v = divmod(site, n + 1)
+                    assert v == order[span][j] and v < n
+                    assert counts[j] == sum(fields[c][u] for u in nug.neighbors(v))
+                    seen.append(site)
+                cls = order[span][: len(sites) // copies]
+                assert (order[span] == np.tile(cls, copies)).all()
+            assert sorted(seen) == [c * (n + 1) + v for c in range(copies) for v in range(n)]
+            assert len(order) == copies * n
+            assert nug.class_layout(copies) is nug.class_layout(copies)
+
+
 class TestLoadNug:
     def test_path_graph(self, tmp_path):
         p = tmp_path / "g.csv"

@@ -45,6 +45,7 @@ from dagmix.experiments import (
 from dagmix.samplers import (
     ALL_MODELS,
     AMRF,
+    EXACT_MRF,
     MDGM_AO,
     MDGM_ROOTED,
     MDGM_ST,
@@ -90,7 +91,7 @@ class TestGibbsZ:
             hits += z
         assert np.abs(hits / sweeps - 0.5).max() < 0.015
 
-    @pytest.mark.parametrize("model", [MDGM_AO, AMRF])
+    @pytest.mark.parametrize("model", [MDGM_AO, AMRF, EXACT_MRF])
     def test_sweep_thresholds_the_tested_full_conditionals(self, model):
         nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
         obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
@@ -98,15 +99,19 @@ class TestGibbsZ:
         beta = 0.7
         dag = acyclic_orientation(nug, [4, 0, 8, 2, 6, 1, 3, 5, 7])
         # the sweep draws one uniform per site up front, so a twin generator
-        # replays its uniforms
+        # replays its uniforms. DAG models sweep in ascending index; the MRF
+        # models sweep color class by color class, and replaying a class one
+        # site at a time equals updating it at once, as no two of its sites
+        # are neighbors.
+        order = range(nug.n) if model == MDGM_AO else np.concatenate(nug.color_classes())
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
         z = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
         for _ in range(20):
             swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng, model)
             u = twin.random(nug.n)
             by_hand = z.copy()
-            for i in range(nug.n):
-                if model == AMRF:
+            for i in order:
+                if model != MDGM_AO:
                     p = mrf_full_conditional(i, by_hand, nug, beta)
                     l1 = math.prod(eta.eta1 if y else 1 - eta.eta1 for y in obs.y[i])
                     l0 = math.prod(eta.eta0 if y else 1 - eta.eta0 for y in obs.y[i])
@@ -117,6 +122,13 @@ class TestGibbsZ:
             assert swept.dtype == np.uint8
             assert swept.tolist() == by_hand.tolist()
             z = swept
+
+    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
+    def test_mrf_sweep_rejects_negative_beta(self, model, lattice22, obs22):
+        z = np.zeros(4, dtype=np.uint8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            gibbs_update_z(z, lattice22, None, -0.1, NoiseParams(0.2, 0.8), obs22,
+                           np.random.default_rng(0), model)
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_thousand_agreeing_ratings_do_not_overflow(self, model):
@@ -148,6 +160,23 @@ class TestGibbsZ:
             update_beta=False, update_eta=False,
         )
         samples = run_chain(obs22, lattice22, cfg)
+        assert np.abs(samples.z_mean() - oracle.marginals).max() < 0.01
+
+    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
+    def test_long_run_marginals_match_oracle_with_four_classes(self, model):
+        # the 2x2 lattice above has two color classes; 3x3 second order has four
+        nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
+        assert len(nug.color_classes()) == 4
+        obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
+        eta = NoiseParams(0.2, 0.8)
+        beta = 0.4
+        oracle = exact_posterior_oracle(obs, nug, beta, eta, model)
+        cfg = McmcConfig(
+            iterations=40000, burn_in=4000, seed=7, model=model,
+            init=Init(beta=beta, eta=(0.2, 0.8), z="random"),
+            update_beta=False, update_eta=False,
+        )
+        samples = run_chain(obs, nug, cfg)
         assert np.abs(samples.z_mean() - oracle.marginals).max() < 0.01
 
 
@@ -629,6 +658,18 @@ class TestRunChain:
         monkeypatch.setattr(Dag, "_check_class", forbidden)
         for model in (MDGM_ST, MDGM_ROOTED, MDGM_AO):
             run_chain(obs22, lattice22, McmcConfig(iterations=30, burn_in=10, seed=4, model=model))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_single_unit_graph(self, model):
+        # one site of degree 0: its color class has a zero-width neighbor matrix
+        nug = Nug(1, [])
+        cfg = McmcConfig(iterations=60, burn_in=20, seed=3, model=model,
+                         priors=PriorSpec(beta_max=0.45))
+        samples = run_chain(Observations([[1, 0, 1]]), nug, cfg)
+        assert samples.record_count == 40
+        assert samples.z.shape == (40, 1) and set(samples.z.ravel().tolist()) <= {0, 1}
+        assert (samples.T == 0).all()
+        assert ((0.0 <= samples.beta) & (samples.beta <= 0.45)).all()
 
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
