@@ -10,6 +10,7 @@ undirected edge of the NUG. Three constructible classes are provided:
 
 from __future__ import annotations
 
+import bisect
 import heapq
 
 import numpy as np
@@ -244,11 +245,7 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
                 u = nb[int(uniform() * len(nb))]
             else:
                 row = cum[v]
-                x = uniform() * row[-1]
-                k = 0
-                while row[k] <= x:
-                    k += 1
-                u = nb[k]
+                u = nb[bisect.bisect_right(row, uniform() * row[-1])]
             nxt[v] = u
             v = u
         v = start

@@ -1,8 +1,9 @@
 """Data generation, metrics, enumeration oracles, and the study harnesses.
 
-The brute-force oracle enumerates every latent field (and every mixture
-component) on small graphs; sampler tests and acceptance checks are
-validated against it, never the other way around.
+The brute-force oracle enumerates every latent field on small graphs and
+sums every mixture component (the spanning trees by the matrix-tree
+theorem); sampler tests and acceptance checks are validated against it,
+never the other way around.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .dags import acyclic_orientation, rooted_dag, tree_dag
-from .graph import IntractableError, LatticeSpec, Nug, build_lattice_nug
+from .dags import acyclic_orientation, rooted_dag
+from .graph import IntractableError, LatticeSpec, Nug, build_lattice_nug, count_spanning_trees
 from .model import (
     NoiseParams,
     Observations,
@@ -379,40 +380,6 @@ def all_fields(n) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
 
 
-def enumerate_spanning_trees(nug: Nug, cap=10**4):
-    """All spanning trees as edge tuples; IntractableError beyond the cap."""
-    m = len(nug.edges)
-    k = nug.n - 1
-    if k < 0:
-        return []
-    if m < k or math.comb(m, k) > 5 * 10**6:
-        if m < k:
-            return []
-        raise IntractableError(f"C({m},{k}) edge subsets is too many to scan")
-    trees = []
-    for subset in itertools.combinations(nug.edges, k):
-        parent = list(range(nug.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for a, b in subset:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                ok = False
-                break
-            parent[ra] = rb
-        if ok:
-            trees.append(subset)
-            if len(trees) > cap:
-                raise IntractableError(f"more than {cap} spanning trees")
-    return trees
-
-
 def enumerate_orientation_mixture(nug: Nug, max_n=7):
     """All acyclic orientations with the permutation-induced prior weights.
 
@@ -443,23 +410,29 @@ def _field_suffstats(nug: Nug, fields) -> np.ndarray:
     return (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
 
 
-def _log_prior_table(nug: Nug, fields, betas, model, max_trees):
+def _log_prior_table(nug: Nug, fields, betas, model):
     """log p(z | beta) for every field (columns) at every beta (rows).
 
     Also returns the number of mixture components (None for the MRF priors).
     The MRF prior is beta * T(z) - log Z(beta); amrf shares the MRF's
-    fixed-beta z posterior. A mixture prior log sum_D w_D prod_i
-    p(z_i | z_pa(i)) is accumulated one component at a time, with the site
-    term written here rather than taken from the sampler's log_dgm_prior.
+    fixed-beta z posterior. The spanning-tree mixture is summed by the
+    matrix-tree theorem: a tree scores 1/2 at its root and
+    e^(beta * I(z_i = z_j)) / (1 + e^beta) on each edge, and the sum over
+    all tau(G) trees of the edge-weight products is det L_w(z)*, a minor of
+    the Laplacian with those weights, so log p(z | beta) = log det L_w(z)* -
+    log tau(G) - log 2 - (n - 1) log(1 + e^beta). The rooted and orientation
+    mixtures log sum_D w_D prod_i p(z_i | z_pa(i)) are accumulated one
+    component at a time, with the site term written here rather than taken
+    from the sampler's log_dgm_prior.
     """
     b = np.asarray(betas, dtype=np.float64)[:, None]
     if model in (EXACT_MRF, AMRF):
         bt = b * _field_suffstats(nug, fields)
         return bt - logsumexp(bt, axis=1, keepdims=True), None
     if model == MDGM_ST:
-        trees = enumerate_spanning_trees(nug, cap=max_trees)
-        components = [(tree_dag(nug.n, tree, 0), 1.0 / len(trees)) for tree in trees]
-    elif model == MDGM_ROOTED:
+        n_trees = count_spanning_trees(nug)
+        return _log_spanning_tree_prior(nug, fields, b[:, 0], n_trees), n_trees
+    if model == MDGM_ROOTED:
         components = [(rooted_dag(nug, r), 1.0 / nug.n) for r in range(nug.n)]
     elif model == MDGM_AO:
         components = enumerate_orientation_mixture(nug)
@@ -477,6 +450,25 @@ def _log_prior_table(nug: Nug, fields, betas, model, max_trees):
     return table, len(components)
 
 
+def _log_spanning_tree_prior(nug: Nug, fields, betas, n_trees):
+    """The mdgm-st rows of _log_prior_table: one batched slogdet per beta.
+
+    With B the signed edge-vertex incidence matrix less vertex 0's column,
+    the minor of the weighted Laplacian is sum_e w_e B[e]^T B[e], so one
+    matrix product builds it for every field.
+    """
+    n = nug.n
+    incidence = (np.eye(n)[nug.edge_i] - np.eye(n)[nug.edge_j])[:, 1:]
+    outer = np.einsum("ei,ej->eij", incidence, incidence).reshape(len(nug.edges), (n - 1) ** 2)
+    match = fields[:, nug.edge_i] == fields[:, nug.edge_j]
+    log_norm = math.log(2 * n_trees) + (n - 1) * np.logaddexp(0.0, betas)
+    table = np.empty((len(betas), len(fields)))
+    for k, beta in enumerate(betas):
+        minors = (np.exp(beta * match) @ outer).reshape(len(fields), n - 1, n - 1)
+        table[k] = np.linalg.slogdet(minors)[1] - log_norm[k]
+    return table
+
+
 @dataclass
 class OracleResult:
     marginals: np.ndarray
@@ -485,18 +477,21 @@ class OracleResult:
 
 
 def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
-                           model, max_n=12, max_trees=10**4) -> OracleResult:
+                           model, max_n=12) -> OracleResult:
     """Exact fixed-beta posterior marginals P(z_i = 1 | y) by full enumeration.
 
     The exact MRF and amrf share the same fixed-beta z-posterior (the
-    pseudo-likelihood approximation only alters the beta update). Mixture
-    models enumerate every component: all spanning trees, all n rooted
-    DAGs, or all orientations with permutation-induced weights.
+    pseudo-likelihood approximation only alters the beta update). The
+    spanning-tree mixture is summed over all tau(G) trees by the matrix-tree
+    theorem, so it needs no tree enumeration; the rooted and orientation
+    mixtures enumerate every component: all n rooted DAGs, or all
+    orientations with permutation-induced weights. n_components is tau(G),
+    n or the number of orientations.
     """
     if nug.n > max_n:
         raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
     fields = all_fields(nug.n)
-    log_prior, n_components = _log_prior_table(nug, fields, [beta], model, max_trees)
+    log_prior, n_components = _log_prior_table(nug, fields, [beta], model)
     log_w = _field_logliks(obs, eta, fields) + log_prior[0]
     w = np.exp(log_w - log_w.max())
     log_partition = None
@@ -534,8 +529,7 @@ class BetaOracle:
 
 
 def joint_beta_oracle(obs: Observations, nug: Nug, eta: NoiseParams, model,
-                      priors: PriorSpec, grid_size=801, max_n=10,
-                      max_trees=10**4) -> BetaOracle:
+                      priors: PriorSpec, grid_size=801, max_n=10) -> BetaOracle:
     """Quadrature oracle for chains with free beta and z at fixed eta.
 
     Returns the exact beta-posterior density/CDF on a uniform grid over the
@@ -552,7 +546,7 @@ def joint_beta_oracle(obs: Observations, nug: Nug, eta: NoiseParams, model,
         raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
     fields = all_fields(nug.n)
     grid = np.linspace(0.0, priors.beta_max, grid_size)
-    log_prior, _ = _log_prior_table(nug, fields, grid, model, max_trees)
+    log_prior, _ = _log_prior_table(nug, fields, grid, model)
     log_w = _field_logliks(obs, eta, fields) + log_prior
     # Uniform beta prior: posterior density over beta is total mass, normalized.
     w = np.exp(log_w - log_w.max())

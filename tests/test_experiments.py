@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from dagmix import (
     BootstrapCI,
     LatticeSpec,
@@ -15,6 +16,7 @@ from dagmix import (
     SimConfig,
     bootstrap_ci,
     build_lattice_nug,
+    count_spanning_trees,
     cross_validate,
     exact_posterior_oracle,
     generate_dataset,
@@ -30,15 +32,16 @@ from dagmix.experiments import (
     CrossValRecord,
     IntractableError,
     crossval_to_csv,
+    _log_prior_table,
+    all_fields as field_matrix,
     enumerate_orientation_mixture,
-    enumerate_spanning_trees,
     ks_distance,
     predict_rating_probability,
     study_to_csv,
     total_variation,
 )
 from dagmix.samplers import ALL_MODELS, AMRF, EXACT_MRF, MDGM_AO, MDGM_ROOTED, MDGM_ST, PosteriorSamples
-from conftest import all_fields, brute_force_spanning_trees, quiet_obs
+from conftest import all_fields, brute_force_spanning_trees, quiet_obs, random_connected_nug
 
 
 def make_samples(z_rows, T=None, beta=None, eta0=None, eta1=None, model="amrf"):
@@ -320,15 +323,6 @@ class TestCrossValidation:
 
 
 class TestEnumerationHelpers:
-    def test_spanning_trees_match_bruteforce(self, lattice33_first):
-        ours = {frozenset(t) for t in enumerate_spanning_trees(lattice33_first)}
-        brute = set(brute_force_spanning_trees(9, lattice33_first.edges))
-        assert ours == brute and len(ours) == 192
-
-    def test_spanning_tree_cap(self, lattice33_first):
-        with pytest.raises(IntractableError):
-            enumerate_spanning_trees(lattice33_first, cap=10)
-
     def test_orientation_mixture_weights(self, triangle):
         mixture = enumerate_orientation_mixture(triangle)
         assert len(mixture) == 6
@@ -419,6 +413,46 @@ class TestOracle:
         assert st.n_components == 4
         assert rooted.n_components == 4
         assert ao.n_components == 14
+
+
+def _spanning_tree_prior_by_enumeration(nug, fields, beta):
+    """log p(z | beta) of mdgm-st as the mean, over every spanning tree, of the
+    tree's prior: 1/2 at the root times e^(beta * match) / (1 + e^beta) per edge."""
+    trees = brute_force_spanning_trees(nug.n, nug.edges)
+    per_tree = []
+    for tree in trees:
+        i, j = np.array(sorted(tree), dtype=np.intp).reshape(-1, 2).T
+        match = (fields[:, i] == fields[:, j]).sum(axis=1)
+        per_tree.append(beta * match - len(tree) * np.logaddexp(0.0, beta) - math.log(2.0))
+    return logsumexp(per_tree, axis=0) - math.log(len(trees))
+
+
+_TREE_ORACLE_GRAPHS = {
+    "n=1": Nug(1, []),
+    "n=2": Nug(2, [(0, 1)]),
+    "2x3-second": build_lattice_nug(LatticeSpec(2, 3, "second")),
+    "random-6": random_connected_nug(np.random.default_rng(31), 6, 4),
+    "random-8": random_connected_nug(np.random.default_rng(32), 8, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["path3", "triangle", "cycle4", "lattice33_first", *_TREE_ORACLE_GRAPHS]
+)
+def test_spanning_tree_rows_match_tree_enumeration(name, request):
+    # the oracle sums the trees by the matrix-tree theorem; this sums them one by one
+    if name in _TREE_ORACLE_GRAPHS:
+        nug = _TREE_ORACLE_GRAPHS[name]
+    else:
+        nug = request.getfixturevalue(name)
+    fields = field_matrix(nug.n)
+    betas = [0.0, 0.4, 1.3]
+    table, n_components = _log_prior_table(nug, fields, betas, MDGM_ST)
+    assert n_components == count_spanning_trees(nug)
+    for row, beta in zip(table, betas):
+        np.testing.assert_allclose(
+            row, _spanning_tree_prior_by_enumeration(nug, fields, beta), rtol=0, atol=1e-12
+        )
 
 
 class TestBetaOracle:

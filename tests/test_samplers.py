@@ -162,9 +162,11 @@ class TestGibbsZ:
         samples = run_chain(obs22, lattice22, cfg)
         assert np.abs(samples.z_mean() - oracle.marginals).max() < 0.01
 
-    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
+    @pytest.mark.parametrize("model", [MDGM_ST, MDGM_ROOTED, AMRF, EXACT_MRF])
     def test_long_run_marginals_match_oracle_with_four_classes(self, model):
-        # the 2x2 lattice above has two color classes; 3x3 second order has four
+        # Past the 2x2 lattice above: 3x3 second order has 17745 spanning
+        # trees, summed by the oracle's matrix-tree form, and four color
+        # classes for the MRF sweep.
         nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
         assert len(nug.color_classes()) == 4
         obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
