@@ -206,9 +206,14 @@ def tree_dag(n: int, tree_edges, root: int) -> Dag:
 
 
 def _uniforms(rng, size):
-    """Uniforms drawn in blocks of size; cuts per-draw RNG overhead in walk loops."""
+    """Uniforms drawn in blocks of size; cuts per-draw RNG overhead in walk loops.
+
+    A memoryview yields each one as a Python float, converted only when
+    the walk reaches it: float arithmetic is faster than on numpy scalars,
+    and a short walk pays nothing for the rest of its block.
+    """
     while True:
-        yield from rng.random(size)
+        yield from memoryview(rng.random(size))
 
 
 def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:

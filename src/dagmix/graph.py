@@ -161,35 +161,42 @@ class Nug:
         return self._padded_neighbors
 
     def class_layout(self, copies):
-        """Index arrays for a class-by-class heat-bath pass over stacked copies of the field.
+        """Positions for a class-by-class heat-bath pass over stacked copies of the field.
 
-        The copies share one state vector of length copies * (n+1): each
-        copy's n sites followed by a zero pad slot. The z sweep uses one
-        copy; CFTP stacks its lower and upper chains as two. Returns
-        (classes, order). Per color class, classes holds (sites, neighbors,
-        span): sites are the class's vertices in every copy, neighbors is a
-        contiguous (width, len(sites)) matrix whose column j lists the
-        neighbors of sites[j] in the same copy, padded with that copy's zero
-        slot, and span is the class's slice of an array laid out like order,
-        which lists the vertex behind every stacked site, class by class.
+        The copies share one state vector of length copies * n + 1, laid out
+        class by class: each color class's sites in copy 0, then the same
+        sites in copy 1, and so on, then one zero pad slot shared by all. A
+        class update therefore writes one contiguous slice. The z sweep uses
+        one copy; CFTP stacks its lower and upper chains as two. Returns
+        (classes, positions, order). Per color class, classes holds (neighbors,
+        span): span is the class's slice of the state, and neighbors is a
+        C-contiguous (width, span length) matrix whose column j lists the
+        positions of the neighbors of the site at span.start + j in the same
+        copy, padded with the pad slot. positions is a (copies, n) array
+        holding the position of each copy's vertex v at [copy, v], and order
+        its inverse: the vertex at each of the copies * n site positions.
         """
         layout = self._class_layouts.get(copies)
         if layout is None:
             n = self.n
-            offsets = range(0, copies * (n + 1), n + 1)
-            classes = []
-            order = [np.zeros(0, dtype=np.intp)]
+            # one extra column maps the padding vertex n to the pad slot
+            positions = np.full((copies, n + 1), copies * n, dtype=np.intp)
+            spans, order = [], [np.zeros(0, dtype=np.intp)]
             start = 0
-            padded = self.padded_neighbors()
             for cls in self.color_classes():
+                size = copies * len(cls)
+                positions[:, cls] = np.arange(start, start + size).reshape(copies, -1)
+                spans.append(slice(start, start + size))
+                order.append(np.tile(cls, copies))
+                start += size
+            padded = self.padded_neighbors()
+            classes = []
+            for cls, span in zip(self.color_classes(), spans):
                 width = int(self.degrees[cls].max(initial=0))
                 mat = np.ascontiguousarray(padded[cls, :width].T)  # C order keeps the sums fast
-                sites = np.concatenate([cls + off for off in offsets])
-                nbrs = np.concatenate([mat + off for off in offsets], axis=1)
-                classes.append((sites, nbrs, slice(start, start + len(sites))))
-                order += [cls] * copies
-                start += len(sites)
-            layout = self._class_layouts[copies] = (tuple(classes), np.concatenate(order))
+                classes.append((np.concatenate([p[mat] for p in positions], axis=1), span))
+            layout = (tuple(classes), positions[:, :n], np.concatenate(order))
+            self._class_layouts[copies] = layout
         return layout
 
     def __repr__(self):

@@ -33,18 +33,28 @@ class Observations:
         if len(y_lists) != n:
             raise ValueError(f"expected {n} units, got {len(y_lists)}")
         ys = []
+        misshapen = None  # the first unit that is not a flat sequence
         for i, yi in enumerate(y_lists):
             arr = np.asarray(yi, dtype=np.int64)
             if arr.ndim != 1 and arr.size:
-                raise ValueError(f"unit {i}: ratings must be a flat sequence")
-            arr = arr.reshape(-1)
-            if arr.size and not np.isin(arr, (0, 1)).all():
-                raise ValueError(f"unit {i}: ratings must be 0 or 1")
-            ys.append(arr)
+                misshapen = i
+                break
+            ys.append(arr.reshape(-1))
+        # one pass over every rating before the misshapen unit, if any
+        m = np.fromiter(map(len, ys), dtype=np.int64, count=len(ys))
+        ends = np.cumsum(m)
+        flat = np.concatenate([np.zeros(0, dtype=np.int64)] + ys)
+        bad = np.flatnonzero((flat < 0) | (flat > 1))
+        if bad.size:
+            raise ValueError(f"unit {np.searchsorted(ends, bad[0], side='right')}: "
+                             "ratings must be 0 or 1")
+        if misshapen is not None:
+            raise ValueError(f"unit {misshapen}: ratings must be a flat sequence")
+        totals = np.concatenate(([0], np.cumsum(flat)))
         self.n = n
         self.y = ys
-        self.m = np.array([len(a) for a in ys], dtype=np.int64)
-        self.s = np.array([int(a.sum()) for a in ys], dtype=np.int64)
+        self.m = m
+        self.s = totals[ends] - totals[ends - m]
         if self.m.size and not (self.m > 1).any():
             warnings.warn(
                 "no unit has more than one rating; noise parameters are "

@@ -182,28 +182,31 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
         return np.array(zz, dtype=np.uint8)
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
-    classes, order = nug.class_layout(1)
+    classes, positions, order = nug.class_layout(1)
     width = int(nug.degrees.max(initial=0))
     count_type = np.min_scalar_type(width + 1)  # holds every count and threshold
     # beta * (2k - deg_i) + dll_i <= logit(u_i) is 2 beta k <= x_i. Counting k
     # past deg_i changes no update, since n1_i <= deg_i.
     x = special.logit(u) - (ll1 - ll0) + beta * nug.degrees
     thr = np.searchsorted(2.0 * beta * np.arange(width + 1), x[order], side="right")
-    state = np.zeros(n + 1, dtype=count_type)  # the field, then a zero pad slot
-    state[:n] = z
+    state = np.zeros(n + 1, dtype=np.uint8)  # the field in class order, then a zero pad slot
+    state[positions[0]] = z
     _heat_bath_step(state, classes, thr.astype(count_type))
-    return state[:n].astype(np.uint8)
+    return state[positions[0]]
 
 
 def _heat_bath_step(state, classes, thr):
     """One heat-bath pass over the classes of a Nug.class_layout.
 
-    A site takes value one when its count of neighbors at one reaches its
-    threshold; thr is laid out like the layout's order. Each class updates
-    at once with one gather, sum, compare and scatter.
+    state is the layout's uint8 state vector and thr its thresholds, laid
+    out alike. A site takes value one when its count of neighbors at one
+    reaches its threshold. Each class updates its own slice in place: one
+    gather, one sum in thr's count type and one compare written through a
+    boolean view.
     """
-    for sites, nbrs, span in classes:
-        state[sites] = state[nbrs].sum(axis=0, dtype=state.dtype) >= thr[span]
+    out = state.view(np.bool_)
+    for nbrs, span in classes:
+        np.greater_equal(np.add.reduce(state.take(nbrs), 0, thr.dtype), thr[span], out[span])
 
 
 def _draw_dag(nug: Nug, rng, class_tag, rooted_cache=None) -> Dag:
@@ -290,53 +293,64 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     drawn and reused as the start time doubles backwards. A vertex of
     degree d with n1 neighbors at one takes value one when u < p1[d, n1],
     and p1 rises with n1, so each uniform is cached as the threshold
-    #{k : p1[d, k] <= u} and the update becomes n1 >= threshold. Within a
-    time step, vertices are updated by independent color class (equivalent
-    to a fixed systematic site order, but vectorizable), by the heat-bath
-    kernel that the MRF z sweep also uses. Raises
-    CoalescenceError when step_cap site updates pass without coalescence.
+    #{k : p1[d, k] <= u} and the update becomes n1 >= threshold. Each
+    doubling draws its new time steps as one block of uniforms, at most
+    2**16 per generator call, and caches their thresholds in layout order,
+    2n per step; the uniforms consumed are those of a step-at-a-time loop,
+    up to the step where step_cap is passed. Within a time step, vertices
+    are updated by independent color class (equivalent to a fixed
+    systematic site order, but vectorizable), by the heat-bath kernel that
+    the MRF z sweep also uses. Raises CoalescenceError when step_cap site
+    updates pass without coalescence.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
     n = nug.n
     if n == 0:
         return np.zeros(0, dtype=np.uint8)
-    classes, order = nug.class_layout(2)
+    classes, positions, order = nug.class_layout(2)
     k = np.arange(nug.degrees.max() + 1, dtype=np.float64)
     deg = k[:, None]
     p1 = 1.0 / (1.0 + np.exp(beta * (deg - 2.0 * k)))
     p1[k > deg] = 2.0  # above the degree: never reached, never counted
-    site_p1 = p1[nug.degrees]
+    columns = p1[nug.degrees].T  # row k holds every vertex's p1 at count k
     count_type = np.min_scalar_type(len(k))  # holds every count and threshold
-    thresholds = {}
+    chunk = max(1, 2**16 // n)  # rows of uniforms per generator call
+    start = np.zeros(2 * n + 1, dtype=np.uint8)  # lower chain at zero, upper at one
+    start[positions[1]] = 1
+    blocks = []  # one (time steps, 2n) threshold block per doubling
     horizon = 1
     updates = 0
     while True:
-        # lower sites, zero pad, upper sites, zero pad: pads add nothing to sums
-        state = np.zeros(2 * n + 2, dtype=count_type)
-        lo, hi = state[:n], state[n + 1 : 2 * n + 1]
-        hi[:] = 1
-        for t in range(-horizon, 0):
-            thr = thresholds.get(t)
-            if thr is None:
-                u = rng.random(n)
-                thr = (site_p1 <= u[:, None]).sum(axis=1, dtype=count_type)[order]
-                thresholds[t] = thr
-            _heat_bath_step(state, classes, thr)
-            # a step writes each site once, and the site keeps that value to
-            # the step's end, so an order violation after any class still
-            # shows here
-            if validate and not (lo <= hi).all():
-                raise AssertionError("sandwich ordering violated")
-            updates += 2 * n
-            if updates > step_cap:
-                raise CoalescenceError(
-                    f"no coalescence within {step_cap} site updates "
-                    f"(beta={beta:.4g}, n={n}): reached horizon {horizon} after "
-                    f"{updates} site updates; near-critical beta mixes too slowly"
-                )
-        if np.array_equal(lo, hi):
-            return lo.astype(np.uint8)
+        # The new steps -horizon .. -horizon // 2 - 1, earliest first, but
+        # none that a step-at-a-time loop would not draw before passing step_cap.
+        rows = min((horizon + 1) // 2, (step_cap - updates) // (2 * n) + 1)
+        new = np.zeros((rows, n), dtype=count_type)
+        for first in range(0, rows, chunk):
+            u = rng.random((min(chunk, rows - first), n))
+            part = new[first : first + len(u)]
+            for column in columns:
+                part += column <= u
+        blocks.append(new[:, order])
+        state = start.copy()
+        for block in reversed(blocks):
+            for thr in block:
+                _heat_bath_step(state, classes, thr)
+                # a step writes each site once, and the site keeps that value
+                # to the step's end, so an order violation after any class
+                # still shows here
+                if validate and not (state[positions[0]] <= state[positions[1]]).all():
+                    raise AssertionError("sandwich ordering violated")
+                updates += 2 * n
+                if updates > step_cap:
+                    raise CoalescenceError(
+                        f"no coalescence within {step_cap} site updates "
+                        f"(beta={beta:.4g}, n={n}): reached horizon {horizon} after "
+                        f"{updates} site updates; near-critical beta mixes too slowly"
+                    )
+        lo = state[positions[0]]
+        if (lo == state[positions[1]]).all():
+            return lo
         horizon *= 2
 
 

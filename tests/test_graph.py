@@ -100,24 +100,34 @@ class TestNugInvariants:
         for nug in (random_connected_nug(rng, 9), Nug(1, []), Nug(4, []),
                     build_lattice_nug(LatticeSpec(3, 4, "second"))):
             n = nug.n
-            classes, order = nug.class_layout(copies)
+            pad = copies * n
+            classes, positions, order = nug.class_layout(copies)
+            assert positions.shape == (copies, n) and len(order) == pad
+            owner = {int(p): (c, v) for c in range(copies) for v, p in enumerate(positions[c])}
+            assert sorted(owner) == list(range(pad))  # each (copy, vertex) exactly once
             fields = rng.integers(0, 2, size=(copies, n))
-            state = np.zeros(copies * (n + 1), dtype=np.int64)
+            state = np.zeros(pad + 1, dtype=np.int64)
             for c in range(copies):
-                state[c * (n + 1): c * (n + 1) + n] = fields[c]
-            seen = []
-            for sites, nbrs, span in classes:
-                assert nbrs.flags.c_contiguous and nbrs.shape[1] == len(sites)
+                state[positions[c]] = fields[c]
+            assert state[pad] == 0
+            end = 0
+            for nbrs, span in classes:
+                # contiguous slices that tile the state up to the pad slot
+                assert span.start == end and span.step is None
+                end = span.stop
+                assert nbrs.flags.c_contiguous and nbrs.shape[1] == span.stop - span.start
                 counts = state[nbrs].sum(axis=0)
-                for j, site in enumerate(sites.tolist()):
-                    c, v = divmod(site, n + 1)
-                    assert v == order[span][j] and v < n
-                    assert counts[j] == sum(fields[c][u] for u in nug.neighbors(v))
-                    seen.append(site)
-                cls = order[span][: len(sites) // copies]
-                assert (order[span] == np.tile(cls, copies)).all()
-            assert sorted(seen) == [c * (n + 1) + v for c in range(copies) for v in range(n)]
-            assert len(order) == copies * n
+                sites = [owner[p] for p in range(span.start, span.stop)]
+                for (c, v), col, count in zip(sites, nbrs.T, counts):
+                    deg = nug.degree(v)
+                    assert [owner[int(p)] for p in col[:deg]] == [(c, u) for u in nug.neighbors(v)]
+                    assert (col[deg:] == pad).all()
+                    assert count == sum(fields[c][u] for u in nug.neighbors(v))
+                    assert order[positions[c][v]] == v
+                # the class's vertices in copy 0, then the same in each further copy
+                cls = [v for c, v in sites if c == 0]
+                assert sites == [(c, v) for c in range(copies) for v in cls]
+            assert end == pad
             assert nug.class_layout(copies) is nug.class_layout(copies)
 
 

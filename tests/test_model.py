@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,47 @@ class TestObservations:
     def test_values_validated(self):
         with pytest.raises(ValueError):
             Observations([[2]])
+
+    def test_matches_per_unit_reference(self):
+        def reference(y_lists):
+            ys = []
+            for i, yi in enumerate(y_lists):
+                arr = np.asarray(yi, dtype=np.int64)
+                if arr.ndim != 1 and arr.size:
+                    raise ValueError(f"unit {i}: ratings must be a flat sequence")
+                arr = arr.reshape(-1)
+                if arr.size and not np.isin(arr, (0, 1)).all():
+                    raise ValueError(f"unit {i}: ratings must be 0 or 1")
+                ys.append(arr)
+            return ys, [len(a) for a in ys], [int(a.sum()) for a in ys]
+
+        def outcome(build, y_lists):
+            try:
+                return build(y_lists)
+            except ValueError as err:
+                return str(err)
+
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            y_lists = []
+            for _ in range(int(rng.integers(0, 8))):
+                unit = rng.integers(0, 2, size=int(rng.integers(0, 4)))
+                kind = rng.integers(0, 4)
+                y_lists.append((unit.tolist(), unit, [], np.zeros((0, 2), dtype=int))[kind])
+            for bad in (np.ones((2, 2), dtype=int), [1, 2], [-1], [[0]]):
+                if y_lists and rng.random() < 0.2:
+                    y_lists[int(rng.integers(len(y_lists)))] = bad
+            want = outcome(reference, y_lists)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = outcome(Observations, y_lists)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert [a.dtype for a in got.y] == [np.int64] * len(want[0])
+            assert [a.tolist() for a in got.y] == [a.tolist() for a in want[0]]
+            assert got.m.dtype == got.s.dtype == np.int64
+            assert got.m.tolist() == want[1] and got.s.tolist() == want[2]
 
     def test_identifiability_warning(self):
         with pytest.warns(UserWarning, match="identifiable"):

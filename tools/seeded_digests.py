@@ -12,6 +12,12 @@ Each model fits the same data: the 6x6 second-order lattice, two ratings
 per unit drawn with numpy's default_rng(0), 120 iterations with 60
 burn-in and chain seed 7; exact-mrf truncates its beta prior at 0.45.
 The digest is the first 16 hex digits of the SHA-256 of to_jsonl.
+
+A last line, `cftp <digest>`, covers perfect sampling alone: 100
+cftp_ising draws and then the generator's next uniform, at 8x8 and 16x16
+second order with beta 0.3 and at 32x32 first order with beta 0.6, each
+setting from a fresh default_rng(7). Equal lines mean equal draws and equal
+random-number consumption.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
-from dagmix.samplers import ALL_MODELS, EXACT_MRF  # noqa: E402
+from dagmix.samplers import ALL_MODELS, EXACT_MRF, cftp_ising  # noqa: E402
 
 
 def digests():
@@ -41,6 +47,20 @@ def digests():
         yield model, hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16]
 
 
+def cftp_digest():
+    """Digest of the CFTP draws and each setting's next uniform."""
+    h = hashlib.sha256()
+    for spec, beta in ((LatticeSpec(8, 8, "second"), 0.3), (LatticeSpec(16, 16, "second"), 0.3),
+                       (LatticeSpec(32, 32, "first"), 0.6)):
+        nug = build_lattice_nug(spec)
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            h.update(cftp_ising(nug, beta, rng).tobytes())
+        h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
+    print(f"cftp {cftp_digest()}")
