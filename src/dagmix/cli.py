@@ -290,6 +290,8 @@ def _load_data(args, nug: Nug):
         raise UsageError(
             f"id map covers {len(idmap.mapping)} units but the graph has {nug.n}"
         )
+    if any(not 0 <= v < nug.n for v in idmap.mapping.values()):
+        raise UsageError(f"id map indices must be exactly 0..{nug.n - 1}")
     obs = load_observations(args.data, nug.n, id_to_index=idmap.mapping)
     return obs, idmap
 

@@ -15,7 +15,7 @@ import heapq
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Nug, is_connected
+from .graph import DisconnectedGraphError, Nug, _split, _trusted_nug, is_connected
 
 CLASS_SPANNING_TREE = "spanning-tree"
 CLASS_ROOTED = "rooted"
@@ -117,12 +117,6 @@ class Dag:
         return f"Dag(n={self.n}, edges={self.num_edges()}, class={self.class_tag!r})"
 
 
-def _split(flat, counts):
-    """flat cut into consecutive tuples of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
-
-
 def _trusted_dag(n, edge_child, edge_parent, class_tag, root=None) -> Dag:
     """A Dag from CSR arrays that its builder made valid, without the checks of Dag()."""
     dag = Dag.__new__(Dag)
@@ -139,8 +133,8 @@ def is_compatible(dag: Dag, nug: Nug) -> bool:
 
 def skeleton(dag: Dag) -> Nug:
     """Undirected structure of the DAG; orientation dropped, weights 1."""
-    edges = {(i, j) if i < j else (j, i) for i, j in dag.directed_edges()}
-    return Nug(dag.n, sorted(edges))
+    c, p = dag.edge_child, dag.edge_parent
+    return _trusted_nug(dag.n, np.minimum(c, p), np.maximum(c, p), np.ones_like(c))
 
 
 def _orient_by_label(nug: Nug, label, class_tag, root=None) -> Dag:

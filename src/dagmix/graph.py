@@ -8,7 +8,6 @@ units. Vertices are dense 0-based indices; every edge carries a weight in
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +50,12 @@ class Nug:
     Edges are unordered pairs stored once as (i, j) with i < j; edge_i and
     edge_j hold their endpoints as index arrays. Neighbor lists are sorted,
     and arc_i, arc_j list every neighbor pair in both directions in the same
-    order (CSR: arc_i ascending, degrees[i] entries per vertex). Instances
-    are safe to share across chains; all further derived structure
-    (adjacency, coloring, padded neighbors, heat-bath layouts,
-    connectivity) is cached lazily.
+    order (CSR: arc_i ascending, degrees[i] entries per vertex); edges,
+    weights and neighbor_lists are Python-int views of these arrays.
+    Nug(n, edges, weights) checks outside input; the library's builders skip
+    the checks. Instances are safe to share across chains; all further
+    derived structure (adjacency, coloring, padded neighbors, heat-bath
+    layouts, connectivity) is cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
@@ -65,8 +66,7 @@ class Nug:
     def __init__(self, n, edges, weights=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
-        canon = []
+        wmap = {}
         for e in edges:
             i, j = e
             if i == j:
@@ -74,39 +74,34 @@ class Nug:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             key = (i, j) if i < j else (j, i)
-            if key in seen:
+            if key in wmap:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            canon.append(key)
-        canon.sort()
-        wmap = {}
+            wmap[key] = 1
         if weights is not None:
             for e, w in weights.items():
                 i, j = e
                 key = (i, j) if i < j else (j, i)
-                if key not in seen:
+                if key not in wmap:
                     raise ValueError(f"weight given for missing edge {key}")
                 if w not in (1, 2):
                     raise ValueError(f"edge weight must be 1 or 2, got {w}")
-                wmap[key] = int(w)
-        nbrs = [[] for _ in range(n)]
-        for i, j in canon:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+                wmap[key] = w
+        self._set_arrays(n, *_edge_arrays(wmap))
+
+    def _set_arrays(self, n, i, j, w):
+        """Fill every form from edge arrays with i < j on each edge, in any order."""
+        order = np.lexsort((j, i))
+        i, j = i[order], j[order]
+        tail, head = np.concatenate((i, j)), np.concatenate((j, i))
+        arcs = np.lexsort((head, tail))
         self.n = n
-        self.edges = tuple(canon)
-        self.edge_i = np.array([i for i, _ in canon], dtype=np.intp)
-        self.edge_j = np.array([j for _, j in canon], dtype=np.intp)
-        self.weights = {e: wmap.get(e, 1) for e in canon}
-        self.neighbor_lists = tuple(tuple(sorted(x)) for x in nbrs)
-        self.degrees = np.fromiter(map(len, nbrs), dtype=np.intp, count=n)
-        self.arc_i = np.repeat(np.arange(n), self.degrees)
-        self.arc_j = np.fromiter(
-            chain.from_iterable(self.neighbor_lists), dtype=np.intp, count=2 * len(canon)
-        )
-        self._adjacency = None
-        self._color_classes = None
-        self._padded_neighbors = None
+        self.edge_i, self.edge_j = i, j
+        self.arc_i, self.arc_j = tail[arcs], head[arcs]
+        self.degrees = np.bincount(self.arc_i, minlength=n)
+        self.edges = tuple(zip(i.tolist(), j.tolist()))
+        self.weights = dict(zip(self.edges, w[order].tolist()))
+        self.neighbor_lists = _split(self.arc_j.tolist(), self.degrees)
+        self._adjacency = self._color_classes = self._padded_neighbors = None
         self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
 
@@ -203,6 +198,25 @@ class Nug:
         return f"Nug(n={self.n}, edges={len(self.edges)})"
 
 
+def _trusted_nug(n, i, j, w) -> Nug:
+    """A Nug from edge arrays that its builder made valid, without the checks of Nug()."""
+    nug = Nug.__new__(Nug)
+    nug._set_arrays(n, i, j, w)
+    return nug
+
+
+def _edge_arrays(weights):
+    """(i, j, w) index arrays of a {(i, j): w} map."""
+    pairs = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.fromiter(weights.values(), np.intp, len(weights))
+
+
+def _split(flat, counts):
+    """flat cut into consecutive tuples of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
+
+
 def build_lattice_nug(spec: LatticeSpec) -> Nug:
     """NUG of a regular lattice; row-major cell indexing.
 
@@ -210,30 +224,13 @@ def build_lattice_nug(spec: LatticeSpec) -> Nug:
     corner-adjacent cells (weight 2).
     """
     r, c = spec.rows, spec.cols
-    idx = lambda i, j: i * c + j
-    edges = []
-    weights = {}
-    for i in range(r):
-        for j in range(c):
-            if j + 1 < c:
-                e = (idx(i, j), idx(i, j + 1))
-                edges.append(e)
-                weights[e] = 1
-            if i + 1 < r:
-                e = (idx(i, j), idx(i + 1, j))
-                edges.append(e)
-                weights[e] = 1
-            if spec.order == ORDER_SECOND:
-                if i + 1 < r and j + 1 < c:
-                    e = (idx(i, j), idx(i + 1, j + 1))
-                    edges.append(e)
-                    weights[e] = 2
-                if i + 1 < r and j - 1 >= 0:
-                    a, b = idx(i, j), idx(i + 1, j - 1)
-                    e = (min(a, b), max(a, b))
-                    edges.append(e)
-                    weights[e] = 2
-    return Nug(r * c, edges, weights)
+    grid = np.arange(r * c).reshape(r, c)
+    ends = [(grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:])]
+    if spec.order == ORDER_SECOND:
+        ends += [(grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, 1:], grid[1:, :-1])]
+    i, j = (np.concatenate([pair[k].ravel() for pair in ends]) for k in (0, 1))
+    w = np.repeat([1, 1, 2, 2][:len(ends)], [a.size for a, _ in ends])
+    return _trusted_nug(r * c, i, j, w)
 
 
 def load_nug(path, n=None) -> Nug:
@@ -243,9 +240,9 @@ def load_nug(path, n=None) -> Nug:
     header before the first edge (as written by save_nug), else inferred as
     max index + 1. Parse errors report the offending 1-based line number.
     """
-    edges = []
+    if n is not None and n < 0:
+        raise ValueError("vertex count must be nonnegative")
     weights = {}
-    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -253,11 +250,13 @@ def load_nug(path, n=None) -> Nug:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
-                if n is None and not edges and key.strip() == "n":
+                if n is None and not weights and key.strip() == "n":
                     try:
                         n = int(value)
                     except ValueError:
                         raise GraphFormatError(f"line {lineno}: bad vertex count {value!r}") from None
+                    if n < 0:
+                        raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) not in (2, 3):
@@ -271,9 +270,8 @@ def load_nug(path, n=None) -> Nug:
             if i < 0 or j < 0 or (n is not None and (i >= n or j >= n)):
                 raise GraphFormatError(f"line {lineno}: vertex index out of range")
             key = (i, j) if i < j else (j, i)
-            if key in seen:
+            if key in weights:
                 raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-            seen.add(key)
             w = 1
             if len(parts) == 3:
                 try:
@@ -282,11 +280,11 @@ def load_nug(path, n=None) -> Nug:
                     raise GraphFormatError(f"line {lineno}: weight must be an integer") from None
                 if w not in (1, 2):
                     raise GraphFormatError(f"line {lineno}: weight must be 1 or 2, got {w}")
-            edges.append(key)
             weights[key] = w
+    i, j, w = _edge_arrays(weights)
     if n is None:
-        n = 1 + max((max(e) for e in edges), default=-1)
-    return Nug(n, edges, weights)
+        n = 1 + int(j.max(initial=-1))
+    return _trusted_nug(n, i, j, w)
 
 
 def save_nug(nug: Nug, path) -> None:

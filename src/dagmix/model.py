@@ -35,7 +35,7 @@ class Observations:
         ys = []
         misshapen = None  # the first unit that is not a flat sequence
         for i, yi in enumerate(y_lists):
-            arr = np.asarray(yi, dtype=np.int64)
+            arr = np.asarray(yi)
             if arr.ndim != 1 and arr.size:
                 misshapen = i
                 break
@@ -44,15 +44,15 @@ class Observations:
         m = np.fromiter(map(len, ys), dtype=np.int64, count=len(ys))
         ends = np.cumsum(m)
         flat = np.concatenate([np.zeros(0, dtype=np.int64)] + ys)
-        bad = np.flatnonzero((flat < 0) | (flat > 1))
+        bad = np.flatnonzero((flat != 0) & (flat != 1))  # before any cast reads 0.5 as 0
         if bad.size:
             raise ValueError(f"unit {np.searchsorted(ends, bad[0], side='right')}: "
                              "ratings must be 0 or 1")
         if misshapen is not None:
             raise ValueError(f"unit {misshapen}: ratings must be a flat sequence")
-        totals = np.concatenate(([0], np.cumsum(flat)))
+        totals = np.concatenate(([0], np.cumsum(flat, dtype=np.int64)))
         self.n = n
-        self.y = ys
+        self.y = [a.astype(np.int64, copy=False) for a in ys]
         self.m = m
         self.s = totals[ends] - totals[ends - m]
         if self.m.size and not (self.m > 1).any():

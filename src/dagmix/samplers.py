@@ -102,7 +102,11 @@ class ChainState:
 
 
 class PosteriorSamples:
-    """Post-burn-in draws plus acceptance bookkeeping for one chain."""
+    """Post-burn-in draws plus acceptance bookkeeping for one chain.
+
+    For mdgm-st, tree_edges is a (kept draws, n - 1, 2) array whose row k
+    holds tree k's (child, parent) pairs in Dag.directed_edges() order.
+    """
 
     def __init__(self, model, burn_in, iterations, beta, eta0, eta1, T, z,
                  tree_edges=None, acceptance=None, eta_stalls=0):
@@ -144,7 +148,7 @@ class PosteriorSamples:
                 "z": "".join("1" if v else "0" for v in self.z[b]),
             }
             if self.tree_edges is not None:
-                rec["tree_edges"] = [[int(c), int(p)] for c, p in self.tree_edges[b]]
+                rec["tree_edges"] = self.tree_edges[b].tolist()
             fh.write(json.dumps(rec) + "\n")
         fh.write(json.dumps({
             "acceptance": {k: [int(a), int(p)] for k, (a, p) in self.acceptance.items()},
@@ -410,12 +414,17 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
             z = ((obs.m > 0) & (unit_mean > grand)).astype(np.uint8)
         else:
             z = np.zeros(nug.n, dtype=np.uint8)
-    elif isinstance(init.z, str) and init.z == "random":
+    elif isinstance(init.z, str):
+        if init.z != "random":
+            raise ValueError(f"initial z must be a 0/1 array or 'random', got {init.z!r}")
         z = rng.integers(0, 2, size=nug.n).astype(np.uint8)
     else:
-        z = np.asarray(init.z, dtype=np.uint8)
+        z = np.asarray(init.z)
         if z.shape != (nug.n,):
             raise ValueError("initial z has the wrong length")
+        if ((z != 0) & (z != 1)).any():
+            raise ValueError("initial z must hold only 0 and 1")
+        z = z.astype(np.uint8)
     if config.model == MDGM_ST:
         dag = uniform_spanning_tree(nug, rng)
     elif class_tag is not None:
@@ -435,6 +444,8 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     """
     if obs.n != nug.n:
         raise ValueError(f"data cover {obs.n} units but the graph has {nug.n}")
+    if nug.n == 0:
+        raise ValueError("the NUG has no units")
     if not is_connected(nug):
         raise ValueError("the NUG must be connected")
     rng = np.random.default_rng(config.seed)
@@ -450,7 +461,9 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     rec_eta1 = np.empty(keep)
     rec_T = np.empty(keep, dtype=np.int64)
     rec_z = np.empty((keep, nug.n), dtype=np.uint8)
-    rec_trees = [] if model == MDGM_ST else None
+    rec_trees = None
+    if model == MDGM_ST:
+        rec_trees = np.empty((keep, nug.n - 1, 2), dtype=np.min_scalar_type(nug.n - 1))
     accept = {"beta": [0, 0]}
     if model in MDGM_MODELS:
         accept["dag"] = [0, 0]
@@ -497,7 +510,7 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
             rec_T[k] = suff_stat_T(state.z, nug)
             rec_z[k] = state.z
             if rec_trees is not None:
-                rec_trees.append(tuple(state.dag.directed_edges()))
+                rec_trees[k] = np.column_stack((state.dag.edge_child, state.dag.edge_parent))
 
     return PosteriorSamples(
         model=model,

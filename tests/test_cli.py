@@ -201,6 +201,20 @@ class TestFit:
         assert code == 1
         assert "99" in capsys.readouterr().err
 
+    def test_idmap_indices_must_be_the_graphs_units(self, tmp_path, capsys):
+        g = tmp_path / "g.csv"
+        g.write_text("0,1\n")
+        (tmp_path / "ids.json").write_text(json.dumps({"a": 0, "b": 5}))
+        data = write_ratings(tmp_path / "y.csv", [("a", 1), ("a", 0)])
+        code = main([
+            "fit", "--graph", str(g), "--idmap", str(tmp_path / "ids.json"),
+            "--data", str(data), "--model", "amrf", "--iters", "20",
+            "--burnin", "10", "--out", str(tmp_path / "fit.jsonl"),
+        ])
+        assert code == 2
+        assert "0..1" in capsys.readouterr().err
+        assert not (tmp_path / "fit.jsonl.zmean.csv").exists()
+
     def test_graph_file_with_idmap(self, tmp_path):
         g = write_cycle4(tmp_path / "g.csv")
         (tmp_path / "ids.json").write_text(json.dumps({"a": 0, "b": 1, "c": 2, "d": 3}))

@@ -270,6 +270,30 @@ class TestPosteriorSpanningTree:
             assert (got.parents, got.root) == (ref.parents, ref.root)
             assert rng.random() == twin.random()
 
+    def test_lattice_edge_marginals_match_kirchhoff(self):
+        # P(e in T) = w_e R_eff(e) under the weighted tree law (Lyons & Peres,
+        # ch. 4). 4.88 is the two-sided Bonferroni bound for a family-wise error
+        # of 1e-3 over the 930 edges; it holds although the edge indicators are
+        # dependent (they sum to n - 1).
+        nug = build_lattice_nug(LatticeSpec(16, 16, "second"))
+        n, i, j = nug.n, nug.edge_i, nug.edge_j
+        rng = np.random.default_rng(0)
+        z = rng.integers(0, 2, n)
+        beta, draws = 0.7, 4000
+        w = np.exp(beta * (z[i] == z[j]))
+        adj = np.zeros((n, n))
+        adj[i, j] = adj[j, i] = w
+        green = np.linalg.pinv(np.diag(adj.sum(axis=1)) - adj)
+        p = w * (green[i, i] + green[j, j] - 2 * green[i, j])
+        assert len(p) == 930 and abs(p.sum() - (n - 1)) < 1e-9
+        hits = np.zeros((n, n))
+        for _ in range(draws):
+            tree = posterior_spanning_tree(nug, z, beta, rng)
+            c, a = tree.edge_child, tree.edge_parent
+            hits[np.minimum(c, a), np.maximum(c, a)] += 1
+        f = hits[i, j] / draws
+        assert np.max(np.abs(f - p) / np.sqrt(p * (1 - p) / draws)) <= 4.88
+
     def test_nonfinite_beta_rejected(self, cycle4):
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):

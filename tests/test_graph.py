@@ -16,7 +16,9 @@ from dagmix import (
     is_connected,
     laplacian,
     load_nug,
+    rooted_dag,
     save_nug,
+    skeleton,
 )
 from conftest import brute_force_ao_count, brute_force_spanning_trees, random_connected_nug
 
@@ -54,6 +56,38 @@ class TestLattice:
         # cell (1, 2) has index 5; its neighbors are (0,2)=2 and (1,1)=4
         assert nug.neighbors(5) == (2, 4)
 
+    def test_matches_validated_double_loop(self):
+        # reference: each cell's right, down and (second order) two lower diagonal neighbors
+        for r in range(1, 6):
+            for c in range(1, 6):
+                for order in ("first", "second"):
+                    weights = {}
+                    for i in range(r):
+                        for j in range(c):
+                            steps = [(0, 1, 1), (1, 0, 1)]
+                            if order == "second":
+                                steps += [(1, 1, 2), (1, -1, 2)]
+                            for di, dj, w in steps:
+                                if i + di < r and 0 <= j + dj < c:
+                                    a, b = i * c + j, (i + di) * c + j + dj
+                                    weights[(min(a, b), max(a, b))] = w
+                    want = Nug(r * c, list(weights), weights)
+                    got = build_lattice_nug(LatticeSpec(r, c, order))
+                    assert_same_graph(got, want)
+
+
+def assert_same_graph(got, want):
+    """Every form of two Nugs equal, with equal dtypes and Python-int views."""
+    assert got.n == want.n and got.edges == want.edges
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert got.neighbor_lists == want.neighbor_lists
+    assert all(type(v) is int for e in got.edges for v in e)
+    assert all(type(v) is int for nb in got.neighbor_lists for v in nb)
+    for name in ("edge_i", "edge_j", "arc_i", "arc_j", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.intp and np.array_equal(a, b), name
+    assert np.array_equal(got.padded_neighbors(), want.padded_neighbors())
+
 
 class TestNugInvariants:
     def test_association_matrix_symmetric_zero_diag(self, lattice33_second):
@@ -68,6 +102,36 @@ class TestNugInvariants:
             Nug(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="out of range"):
             Nug(2, [(0, 5)])
+
+    def test_weight_errors(self):
+        with pytest.raises(ValueError, match="missing edge"):
+            Nug(3, [(0, 1)], {(1, 2): 1})
+        with pytest.raises(ValueError, match="1 or 2"):
+            Nug(3, [(0, 1)], {(1, 0): 3})
+        with pytest.raises(ValueError, match="nonnegative"):
+            Nug(-1, [])
+
+    def test_array_input_gives_python_int_views(self):
+        nug = Nug(4, np.array([[2, 3], [1, 0], [2, 1]]), {(np.int64(3), np.int64(2)): 2})
+        assert nug.edges == ((0, 1), (1, 2), (2, 3))
+        assert all(type(v) is int for e in nug.edges for v in e)
+        assert nug.weights == {(0, 1): 1, (1, 2): 1, (2, 3): 2}
+        assert all(type(w) is int for w in nug.weights.values())
+        assert nug.neighbor_lists == ((1,), (0, 2), (1, 3), (2,))
+
+    def test_library_builders_skip_the_checks(self, tmp_path, monkeypatch):
+        nug = build_lattice_nug(LatticeSpec(4, 5, "second"))
+        save_nug(nug, tmp_path / "g.csv")
+        dag = rooted_dag(nug, 0)
+        want = Nug(nug.n, list(zip(dag.edge_child.tolist(), dag.edge_parent.tolist())))
+
+        def forbidden(self, *args):
+            raise AssertionError("a library-made graph was validated")
+
+        monkeypatch.setattr(Nug, "__init__", forbidden)
+        assert_same_graph(load_nug(tmp_path / "g.csv"), nug)
+        assert_same_graph(build_lattice_nug(LatticeSpec(4, 5, "second")), nug)
+        assert_same_graph(skeleton(dag), want)
 
     def test_neighbor_lists_match_edges(self):
         rng = np.random.default_rng(0)
@@ -174,6 +238,15 @@ class TestLoadNug:
         with pytest.raises(GraphFormatError, match="line 3: vertex index out of range"):
             p.write_text("# n=3\n0,1\n1,3\n")
             load_nug(p)
+
+    def test_negative_vertex_count(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("# comment\n# n=-1\n")
+        with pytest.raises(GraphFormatError, match="line 2: vertex count must be nonnegative"):
+            load_nug(p)
+        p.write_text("0,1\n")
+        with pytest.raises(ValueError, match="nonnegative"):
+            load_nug(p, n=-2)
 
     def test_save_roundtrip(self, tmp_path, lattice33_second):
         p = tmp_path / "g.csv"

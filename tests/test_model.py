@@ -55,6 +55,14 @@ class TestObservations:
         with pytest.raises(ValueError):
             Observations([[2]])
 
+    def test_fractional_ratings_rejected_before_the_cast(self):
+        for bad in ([[0.5, 1]], [[1], [1.0, np.nan]]):
+            with pytest.raises(ValueError, match=f"unit {len(bad) - 1}: ratings must be 0 or 1"):
+                Observations(bad)
+        obs = quiet_obs([[True, False], [1.0]])
+        assert obs.m.tolist() == [2, 1] and obs.s.tolist() == [1, 1]
+        assert [a.dtype for a in obs.y] == [np.int64, np.int64]
+
     def test_matches_per_unit_reference(self):
         def reference(y_lists):
             ys = []

@@ -620,7 +620,7 @@ class TestRunChain:
         assert (a.T == b.T).all()
         assert a.acceptance == b.acceptance
         if model == MDGM_ST:
-            assert a.tree_edges == b.tree_edges
+            assert np.array_equal(a.tree_edges, b.tree_edges)
 
     @pytest.mark.parametrize("model", [MDGM_ROOTED, MDGM_AO])
     def test_free_beta_chain_matches_joint_oracle(self, model, lattice22, obs22):
@@ -707,6 +707,39 @@ class TestRunChain:
         obs = Observations([[1, 1]], n=1)
         with pytest.raises(ValueError, match="units"):
             run_chain(obs, lattice22, McmcConfig(iterations=10, burn_in=1))
+
+    @pytest.mark.parametrize("model", ALL_MODELS)
+    def test_empty_graph_rejected(self, model):
+        cfg = McmcConfig(iterations=10, burn_in=1, model=model)
+        with pytest.raises(ValueError, match="no units"):
+            run_chain(Observations([]), Nug(0, []), cfg)
+
+    def test_initial_field_validated(self, lattice22, obs22):
+        for z, what in (([2, 0, 1, 0], "only 0 and 1"), ([0.5, 0, 1, 0], "only 0 and 1"),
+                        ("rand", "initial z must be")):
+            cfg = McmcConfig(iterations=10, burn_in=1, init=Init(z=z))
+            with pytest.raises(ValueError, match=what):
+                run_chain(obs22, lattice22, cfg)
+        cfg = McmcConfig(iterations=10, burn_in=1, init=Init(z=[True, 0, 1.0, 0]))
+        assert run_chain(obs22, lattice22, cfg).record_count == 9
+
+    def test_kept_trees_are_compact_rows(self):
+        nug = build_lattice_nug(LatticeSpec(32, 32, "first"))
+        obs = quiet_obs([[1, 0]] * nug.n)
+        cfg = McmcConfig(iterations=6, burn_in=2, seed=8, model=MDGM_ST)
+        samples = run_chain(obs, nug, cfg)
+        trees = samples.tree_edges
+        assert trees.shape == (4, nug.n - 1, 2) and trees.dtype == np.uint16
+        assert trees.nbytes / 4 <= 4100
+        buf = io.StringIO()
+        samples.to_jsonl(buf)
+        rows = [json.loads(line)["tree_edges"] for line in buf.getvalue().splitlines()[:-1]]
+        assert rows == trees.tolist()
+        edges = set(nug.edges)
+        for tree in rows:
+            children = [c for c, _ in tree]
+            assert children == sorted(children) and len(set(children)) == nug.n - 1
+            assert {(min(c, p), max(c, p)) for c, p in tree} <= edges
 
     def test_disconnected_rejected(self, obs22):
         nug = Nug(4, [(0, 1), (2, 3)])

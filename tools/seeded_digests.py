@@ -18,6 +18,14 @@ cftp_ising draws and then the generator's next uniform, at 8x8 and 16x16
 second order with beta 0.3 and at 32x32 first order with beta 0.6, each
 setting from a fresh default_rng(7). Equal lines mean equal draws and equal
 random-number consumption.
+
+The line `graph <digest>` covers graph construction alone. For each of 8x8
+and 16x16 second order and 32x32 first order it hashes four graphs:
+build_lattice_nug, the same graph through save_nug and load_nug,
+Nug(n, list(edges), dict(weights)), and skeleton(rooted_dag(nug, 0)). Each
+graph contributes n, edges, the weights items and neighbor_lists, and the
+dtype and bytes of edge_i, edge_j, arc_i, arc_j, degrees and
+padded_neighbors().
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +41,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
+from dagmix.dags import rooted_dag, skeleton  # noqa: E402
+from dagmix.graph import Nug, load_nug, save_nug  # noqa: E402
 from dagmix.samplers import ALL_MODELS, EXACT_MRF, cftp_ising  # noqa: E402
 
 
@@ -60,7 +71,25 @@ def cftp_digest():
     return h.hexdigest()[:16]
 
 
+def graph_digest():
+    """Digest of every form of the lattice graphs and of the graphs derived from them."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.csv"
+        for spec in (LatticeSpec(8, 8, "second"), LatticeSpec(16, 16, "second"),
+                     LatticeSpec(32, 32, "first")):
+            nug = build_lattice_nug(spec)
+            save_nug(nug, path)
+            for g in (nug, load_nug(path), Nug(nug.n, list(nug.edges), dict(nug.weights)),
+                      skeleton(rooted_dag(nug, 0))):
+                h.update(repr((g.n, g.edges, list(g.weights.items()), g.neighbor_lists)).encode())
+                for a in (g.edge_i, g.edge_j, g.arc_i, g.arc_j, g.degrees, g.padded_neighbors()):
+                    h.update(a.dtype.str.encode() + a.tobytes())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
     print(f"cftp {cftp_digest()}")
+    print(f"graph {graph_digest()}")
