@@ -31,15 +31,17 @@ class Dag:
     The edge (child, parent) convention follows the factorization: vertex i
     is conditioned on its parents pi(i). edge_child and edge_parent list
     every (child, parent) pair sorted by child, then parent; in_degree[i] is
-    the number of parents of i; the parents and children tuples are built on
-    first use. Dag(parents, ...) takes outside input (a parent listed twice
-    counts once) and verifies acyclicity and, for tagged classes, the class
-    invariant (single-parent spanning tree, or single-orphan rooted DAG).
-    The builders below make valid arrays and skip these checks.
+    the number of parents of i. flat_children() holds every vertex's
+    children in one flat list plus offsets, all that the z sweep reads; the
+    parents and children tuples are built on first use. Dag(parents, ...)
+    takes outside input (a parent listed twice counts once) and verifies
+    acyclicity and, for tagged classes, the class invariant (single-parent
+    spanning tree, or single-orphan rooted DAG). The builders below make
+    valid arrays and skip these checks.
     """
 
     __slots__ = ("n", "edge_child", "edge_parent", "in_degree", "class_tag", "root",
-                 "_parents", "_children")
+                 "_parents", "_children", "_flat_children")
 
     def __init__(self, parents, class_tag=CLASS_GENERAL, root=None):
         n = len(parents)
@@ -61,7 +63,7 @@ class Dag:
         self.in_degree = np.bincount(edge_child, minlength=n)
         self.class_tag = class_tag
         self.root = root
-        self._parents = self._children = None
+        self._parents = self._children = self._flat_children = None
 
     @property
     def parents(self):
@@ -74,19 +76,30 @@ class Dag:
     def children(self):
         """children[j]: the vertices with parent j, ascending."""
         if self._children is None:
-            order = np.argsort(self.edge_parent, kind="stable")
-            kids = self.edge_child[order].tolist()
-            self._children = _split(kids, np.bincount(self.edge_parent, minlength=self.n))
+            kids, offsets = self.flat_children()
+            self._children = tuple(tuple(kids[a:b]) for a, b in zip(offsets, offsets[1:]))
         return self._children
+
+    def flat_children(self):
+        """(kids, offsets): the children of j are kids[offsets[j]:offsets[j + 1]], ascending.
+
+        Both are lists of Python ints, built on first use by one stable argsort.
+        """
+        if self._flat_children is None:
+            order = np.argsort(self.edge_parent, kind="stable")
+            ends = np.cumsum(np.bincount(self.edge_parent, minlength=self.n))
+            self._flat_children = (self.edge_child[order].tolist(), [0] + ends.tolist())
+        return self._flat_children
 
     def _check_acyclic(self):
         indeg = self.in_degree.tolist()
+        kids, offsets = self.flat_children()
         stack = [v for v in range(self.n) if indeg[v] == 0]
         seen = 0
         while stack:
             v = stack.pop()
             seen += 1
-            for k in self.children[v]:
+            for k in kids[offsets[v]:offsets[v + 1]]:
                 indeg[k] -= 1
                 if indeg[k] == 0:
                     stack.append(k)
@@ -268,15 +281,62 @@ def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
     The walk transition from v to u is proportional to the single-parent
     weight exp(beta * I(z_v = z_u)); per-vertex normalizers are the constant
     1 + e^beta, so they cancel and the skeleton targets the edge-match
-    product. The root carries no information and is uniform.
+    product. The root carries no information and is uniform. Past beta =
+    700, near where e^beta overflows, a tree with one more mismatched edge
+    than the fewest possible weighs e^-700 or less against one with the
+    fewest, so the draw is _fewest_mismatch_tree's.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
+    if beta > 700.0:
+        return _fewest_mismatch_tree(nug, z, rng)
     nbrs = nug.padded_neighbors()
     zz = np.append(np.asarray(z), 0)  # the padding index n reads this extra slot
     weight = np.where(zz[nbrs] == zz[:-1, None], float(np.exp(beta)), 1.0)
     weight[nbrs == nug.n] = 0.0
     return _wilson_tree(nug, rng, np.cumsum(weight, axis=1).tolist())
+
+
+def _component_minima(n, i, j):
+    """The lowest vertex of each vertex's component in the graph with edges (i[e], j[e])."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
+    """A uniform draw among the spanning trees with the fewest edges joining unequal values.
+
+    Such a tree spans each of the c same-value components with the
+    component's own edges and joins the components by c - 1 mismatched
+    edges; the parts are uniform and independent. One Wilson walk draws them
+    all, on the matched edges, a vertex n + a tied to the lowest vertex of
+    each component a, and a vertex per mismatched edge tied to the
+    components of its two ends. That edge joins the tree when both of its
+    ties are drawn, and each tree of the components arises from equally
+    many draws. The root is uniform.
+    """
+    n, zz = nug.n, np.asarray(z)
+    same = zz[nug.edge_i] == zz[nug.edge_j]
+    i, j, mi, mj = nug.edge_i[same], nug.edge_j[same], nug.edge_i[~same], nug.edge_j[~same]
+    lowest, label = np.unique(_component_minima(n, i, j), return_inverse=True)
+    c = len(lowest)
+    mid = np.arange(n + c, n + c + len(mi))
+    ti = np.concatenate((i, lowest, n + label[mi], n + label[mj]))
+    tj = np.concatenate((j, np.arange(n, n + c), mid, mid))
+    walk = _wilson_tree(_trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti)), rng)
+    ties = np.bincount(np.concatenate((walk.edge_child, walk.edge_parent)), minlength=n + c + len(mi))
+    inner = (walk.edge_child < n) & (walk.edge_parent < n)
+    edges = np.concatenate((np.column_stack((walk.edge_child, walk.edge_parent))[inner],
+                            np.column_stack((mi, mj))[ties[n + c:] == 2]))
+    return tree_dag(n, edges.tolist(), int(rng.integers(n)))
 
 
 def markov_blanket(dag: Dag, i: int) -> set:

@@ -182,42 +182,61 @@ def _log_site_product(hist, excess, beta):
     return -math.fsum([beta * excess, *(hist * sp).tolist()])
 
 
-def _child_table(dag: Dag, beta):
-    """softplus(beta * d) for every balance d of a child of the DAG, as a list indexed by d.
+def _one_counts(z, site, cond, n):
+    """Per site, its number of conditioning-set members at one, as a list of ints.
 
-    A negative d sits at the end of the list, where negative indexing reads it.
+    (site[e], cond[e]) pairs sites with their sets as in _balance_histogram.
+    """
+    zz = np.asarray(z)
+    if len(zz) != n:
+        raise ValueError(f"field length {len(zz)} does not match {n} units")
+    return np.bincount(site[zz[cond] != 0], minlength=n).tolist()
+
+
+def _child_tables(dag: Dag, beta):
+    """(g0, g1): a child's logit term, indexed by its balance d, for z_k = 0 and z_k = 1.
+
+    With sp(d) = softplus(beta * d), g1[d] = sp(d) - sp(d - 2) and g0[d] =
+    sp(-d) - sp(2 - d). A negative d sits at the end of each list, where
+    negative indexing reads it; the entries no child reaches (d = -w and
+    1 - w for the largest in-degree w) hold wrapped-around values.
     """
     width = int(dag.in_degree.max(initial=0))
-    d = np.arange(2 * width + 1)
-    d[width + 1:] -= 2 * width + 1
-    return np.logaddexp(0.0, beta * d).tolist()
+    ks = [*range(width + 1), *range(-width, 0)]
+    sp = np.logaddexp(0.0, beta * np.array(ks)).tolist()
+    m = len(sp)
+    return [sp[-k] - sp[(2 - k) % m] for k in ks], [sp[k] - sp[(k - 2) % m] for k in ks]
 
 
-def _conditional_logit(i, zz, parents, children, beta, sp):
+def _site_logit(i, zz, n1, in_degree, kids, beta, tables):
     """log p(z_i=1 | rest) - log p(z_i=0 | rest) under prod_k p(z_k | z_{parents[k]}).
 
-    children[i] lists the sites whose conditioning sets contain i, and sp is
-    _child_table's list (unused when there are none). Site i's own normalizer
-    does not depend on z_i, but each child's does. With no children this is
-    the Ising full conditional over the set parents[i].
+    zz is the field as ints, n1[k] the number of k's parents at one in it
+    and in_degree[k] the number of k's parents; kids lists i's children and
+    tables is _child_tables's pair (zz and tables are read only for
+    children). Site i's own normalizer does not depend on z_i, but each
+    child's does. With no children this is the Ising full conditional over
+    i's conditioning set.
     """
-    pa = parents[i]
-    n1 = 0
-    for j in pa:
-        n1 += zz[j]
-    logit = beta * (2 * n1 - len(pa))
-    for k in children[i]:
-        s1 = -zz[i]
-        for j in parents[k]:
-            s1 += zz[j]
-        # child k's balance with z_i = 0 is d0 if z_k = 1 and -d0 if z_k = 0;
-        # z_i = 1 adds a match (balance - 2) or a mismatch (balance + 2)
-        d0 = len(parents[k]) - 2 * s1
-        if zz[k]:
-            logit += sp[d0] - sp[d0 - 2]
-        else:
-            logit += sp[-d0] - sp[2 - d0]
+    logit = beta * (2 * n1[i] - in_degree[i])
+    if kids:
+        g0, g1 = tables
+        zi = zz[i]
+        for k in kids:
+            # child k's balance with z_i = 0 is d if z_k = 1 and -d if z_k = 0;
+            # z_i = 1 adds a match (balance - 2) or a mismatch (balance + 2)
+            d = in_degree[k] - 2 * (n1[k] - zi)
+            logit += g1[d] if zz[k] else g0[d]
     return logit
+
+
+def _dag_logit(i, z, dag: Dag, beta):
+    """_site_logit at site i of the field z under the DAG prior, from scratch."""
+    _check_vertex(i, dag.n)
+    n1 = _one_counts(z, dag.edge_child, dag.edge_parent, dag.n)
+    kids, offsets = dag.flat_children()
+    return _site_logit(i, _as_ints(z), n1, dag.in_degree.tolist(),
+                       kids[offsets[i]:offsets[i + 1]], beta, _child_tables(dag, beta))
 
 
 def _unit_logliks(m, s, eta: NoiseParams):
@@ -277,18 +296,14 @@ def dgm_full_conditional_prior(i, z, dag: Dag, beta: float) -> float:
     normalizer is the product of the children's parent-sum denominators,
     which depend on z_i.
     """
-    _check_vertex(i, dag.n)
-    sp = _child_table(dag, beta)
-    return _prob_one(_conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta, sp))
+    return _prob_one(_dag_logit(i, z, dag, beta))
 
 
 def dgm_full_conditional_posterior(i, z, dag: Dag, beta: float, eta: NoiseParams, y_i) -> float:
     """P(z_i = 1 | z_-i, y_i): prior full conditional times the unit likelihood."""
-    _check_vertex(i, dag.n)
+    logit = _dag_logit(i, z, dag, beta)
     yi = np.asarray(y_i, dtype=np.int64).reshape(-1)
     ll1, ll0 = _unit_logliks(len(yi), int(yi.sum()), eta)
-    sp = _child_table(dag, beta)
-    logit = _conditional_logit(i, _as_ints(z), dag.parents, dag.children, beta, sp)
     return _prob_one(logit + (ll1 - ll0))
 
 
@@ -311,9 +326,8 @@ def mrf_full_conditional(i, z, nug: Nug, beta: float) -> float:
     An isolated vertex has empty neighbor sums and probability 1/2.
     """
     _check_vertex(i, nug.n)
-    no_children = ((),) * nug.n
-    logit = _conditional_logit(i, _as_ints(z), nug.neighbor_lists, no_children, beta, None)
-    return _prob_one(logit)
+    n1 = _one_counts(z, nug.arc_i, nug.arc_j, nug.n)
+    return _prob_one(_site_logit(i, None, n1, nug.degrees.tolist(), (), beta, None))
 
 
 def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:

@@ -32,13 +32,16 @@ from .model import (
     Observations,
     PriorSpec,
     _as_ints,
-    _child_table,
-    _conditional_logit,
+    _balance_histogram,
+    _child_tables,
+    _log_site_product,
+    _one_counts,
     _prob_one,
+    _site_logit,
     _unit_logliks,
     eta_full_conditional_params,
     log_dgm_prior,
-    pseudo_likelihood_log,
+    pseudo_likelihood_log,  # noqa: F401  (unused here; perfbench/spans.py traces this name)
     suff_stat_T,
 )
 
@@ -161,6 +164,11 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
 
     DAG-mixture models draw each site in ascending index from its
     DAG-posterior full conditional, z_i = 1 when u_i < P(z_i = 1 | rest).
+    They keep every site's count of parents at one, n1, from one bincount
+    at the start of the sweep, and when z_i flips they move n1 of each of
+    i's children by one. The children come from Dag.flat_children(), so a
+    site costs one read per child, and model._site_logit, the body of the
+    public full conditionals, scores it.
     amrf and the exact MRF use the MRF full conditional times the unit
     likelihood, with log-odds beta * (2 n1_i - deg_i) + dll_i for n1_i
     neighbors at one and the unit's log-likelihood difference dll_i. They
@@ -179,10 +187,18 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
         zz = _as_ints(z)
         dll = (ll1 - ll0).tolist()
         u = u.tolist()
-        parents, children, sp = dag.parents, dag.children, _child_table(dag, beta)
-        for i in range(n):
-            logit = _conditional_logit(i, zz, parents, children, beta, sp) + dll[i]
-            zz[i] = 1 if u[i] < _prob_one(logit) else 0
+        n1 = _one_counts(z, dag.edge_child, dag.edge_parent, n)
+        in_degree, tables = dag.in_degree.tolist(), _child_tables(dag, beta)
+        kids, offsets = dag.flat_children()
+        for i, a, b, ui, dl in zip(range(n), offsets, offsets[1:], u, dll):
+            ch = kids[a:b]
+            logit = _site_logit(i, zz, n1, in_degree, ch, beta, tables) + dl
+            zi = 1 if ui < _prob_one(logit) else 0
+            if zi != zz[i]:
+                zz[i] = zi
+                step = 2 * zi - 1
+                for k in ch:
+                    n1[k] += step
         return np.array(zz, dtype=np.uint8)
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
@@ -250,21 +266,26 @@ def direct_update_st(z, nug: Nug, beta, rng) -> Dag:
     return posterior_spanning_tree(nug, z, beta, rng)
 
 
-def _log_f(z, nug, dag, beta, model):
-    """Latent-prior term of the beta MH ratio (DAG prior or pseudo-likelihood)."""
+def _balances(z, nug, dag, model):
+    """Balance histogram of the beta MH target's latent-prior term (DAG prior or pseudo-likelihood)."""
     if model in MDGM_MODELS:
-        return log_dgm_prior(z, dag, beta)
+        return _balance_histogram(z, dag.edge_child, dag.edge_parent, dag.in_degree)
     if model == AMRF:
-        return pseudo_likelihood_log(z, nug, beta)
+        return _balance_histogram(z, nug.arc_i, nug.arc_j, nug.degrees)
     raise ValueError(f"no random-walk beta update for model {model!r}")
 
 
 def mh_update_beta(z, nug: Nug, dag, beta, rng, model, sd, priors: PriorSpec):
-    """Gaussian random-walk move on beta; proposals off the prior support reject."""
+    """Gaussian random-walk move on beta; proposals off the prior support reject.
+
+    The log ratio is log_dgm_prior (or pseudo_likelihood_log) at the proposal
+    minus its value at beta, both scored from one balance histogram of z.
+    """
     proposal = rng.normal(beta, sd)
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
-    log_ratio = _log_f(z, nug, dag, proposal, model) - _log_f(z, nug, dag, beta, model)
+    hist, excess = _balances(z, nug, dag, model)
+    log_ratio = _log_site_product(hist, excess, proposal) - _log_site_product(hist, excess, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return beta, False

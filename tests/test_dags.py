@@ -12,6 +12,7 @@ from dagmix import (
     Nug,
     acyclic_orientation,
     build_lattice_nug,
+    count_spanning_trees,
     dag_from_csv,
     dag_to_csv,
     is_compatible,
@@ -293,6 +294,55 @@ class TestPosteriorSpanningTree:
             hits[np.minimum(c, a), np.maximum(c, a)] += 1
         f = hits[i, j] / draws
         assert np.max(np.abs(f - p) / np.sqrt(p * (1 - p) / draws)) <= 4.88
+
+    @staticmethod
+    def same_value_components(nug, z):
+        seen, count = set(), 0
+        for v in range(nug.n):
+            if v in seen:
+                continue
+            count += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                u = stack.pop()
+                for w in nug.neighbor_lists[u]:
+                    if w not in seen and z[w] == z[u]:
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(8, 8, "second"), LatticeSpec(6, 7, "first")])
+    def test_large_beta_joins_components_by_fewest_mismatched_edges(self, spec):
+        # e^800 overflows a double; the tree law then keeps only the trees with
+        # the fewest mismatched edges, c - 1 for c same-value components
+        nug = build_lattice_nug(spec)
+        rng = np.random.default_rng(12)
+        for k in range(20):
+            z = rng.integers(0, 2, size=nug.n) if k else np.zeros(nug.n, dtype=int)
+            c = self.same_value_components(nug, z)
+            for beta in (700.5, 800.0):
+                tree = posterior_spanning_tree(nug, z.astype(np.uint8), beta, rng)
+                edges = sorted(skeleton(tree).edges)
+                assert len(edges) == nug.n - 1 and set(edges) <= set(nug.edges)
+                assert count_spanning_trees(Nug(nug.n, edges)) == 1
+                assert sum(z[a] != z[b] for a, b in edges) == c - 1
+                assert tree.class_tag == CLASS_SPANNING_TREE and 0 <= tree.root < nug.n
+
+    def test_large_beta_is_uniform_over_fewest_mismatch_trees(self):
+        # 3x3 first order, zeros on the top-left square: 4 trees span the
+        # zeros, 1 spans the ones, and 4 mismatched edges can join them
+        nug = build_lattice_nug(LatticeSpec(3, 3, "first"))
+        z = [0, 0, 1, 0, 0, 1, 1, 1, 1]
+        trees = brute_force_spanning_trees(nug.n, nug.edges)
+        cost = {t: sum(z[a] != z[b] for a, b in t) for t in trees}
+        fewest = [t for t in trees if cost[t] == min(cost.values())]
+        assert len(fewest) == 16
+        rng = np.random.default_rng(13)
+        draws = 8000
+        counts = Counter(skeleton_key(posterior_spanning_tree(nug, z, 800.0, rng)) for _ in range(draws))
+        assert set(counts) <= set(fewest)
+        assert 0.5 * sum(abs(counts[t] / draws - 1 / 16) for t in fewest) < 0.04
 
     def test_nonfinite_beta_rejected(self, cycle4):
         rng = np.random.default_rng(11)

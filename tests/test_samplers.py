@@ -33,6 +33,7 @@ from dagmix import (
     run_chain,
     suff_stat_T,
     tree_dag,
+    uniform_spanning_tree,
 )
 from dagmix import samplers
 from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, CLASS_ROOTED, Dag
@@ -91,37 +92,46 @@ class TestGibbsZ:
             hits += z
         assert np.abs(hits / sweeps - 0.5).max() < 0.015
 
-    @pytest.mark.parametrize("model", [MDGM_AO, AMRF, EXACT_MRF])
+    @pytest.mark.parametrize("model", ALL_MODELS)
     def test_sweep_thresholds_the_tested_full_conditionals(self, model):
-        nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
+        lattice = build_lattice_nug(LatticeSpec(3, 3, "second"))
+        star = Nug(9, [(0, j) for j in range(1, 9)])
         obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
         eta = NoiseParams(0.2, 0.75)
-        beta = 0.7
-        dag = acyclic_orientation(nug, [4, 0, 8, 2, 6, 1, 3, 5, 7])
-        # the sweep draws one uniform per site up front, so a twin generator
-        # replays its uniforms. DAG models sweep in ascending index; the MRF
-        # models sweep color class by color class, and replaying a class one
-        # site at a time equals updating it at once, as no two of its sites
-        # are neighbors.
-        order = range(nug.n) if model == MDGM_AO else np.concatenate(nug.color_classes())
-        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-        z = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
-        for _ in range(20):
-            swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng, model)
-            u = twin.random(nug.n)
-            by_hand = z.copy()
-            for i in order:
-                if model != MDGM_AO:
-                    p = mrf_full_conditional(i, by_hand, nug, beta)
-                    l1 = math.prod(eta.eta1 if y else 1 - eta.eta1 for y in obs.y[i])
-                    l0 = math.prod(eta.eta0 if y else 1 - eta.eta0 for y in obs.y[i])
-                    p = p * l1 / (p * l1 + (1 - p) * l0)
-                else:
-                    p = dgm_full_conditional_posterior(i, by_hand, dag, beta, eta, obs.y[i])
-                by_hand[i] = u[i] < p
-            assert swept.dtype == np.uint8
-            assert swept.tolist() == by_hand.tolist()
-            z = swept
+        # on the star, the orientation makes the centre a child of in-degree 8,
+        # which reads the widest child tables
+        perms = {lattice: [4, 0, 8, 2, 6, 1, 3, 5, 7], star: [4, 8, 2, 6, 1, 3, 5, 7, 0]}
+        for nug in (lattice, star):
+            dag = {
+                MDGM_ST: uniform_spanning_tree(nug, np.random.default_rng(3)),
+                MDGM_ROOTED: rooted_dag(nug, 3),
+                MDGM_AO: acyclic_orientation(nug, perms[nug]),
+            }.get(model)
+            # the sweep draws one uniform per site up front, so a twin generator
+            # replays its uniforms. DAG models sweep in ascending index; the MRF
+            # models sweep color class by color class, and replaying a class one
+            # site at a time equals updating it at once, as no two of its sites
+            # are neighbors.
+            order = range(nug.n) if dag is not None else np.concatenate(nug.color_classes())
+            for beta in (0.0, 0.7, 40.0):
+                rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+                z = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
+                for _ in range(20):
+                    swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng, model)
+                    u = twin.random(nug.n)
+                    by_hand = z.copy()
+                    for i in order:
+                        if dag is None:
+                            p = mrf_full_conditional(i, by_hand, nug, beta)
+                            l1 = math.prod(eta.eta1 if y else 1 - eta.eta1 for y in obs.y[i])
+                            l0 = math.prod(eta.eta0 if y else 1 - eta.eta0 for y in obs.y[i])
+                            p = p * l1 / (p * l1 + (1 - p) * l0)
+                        else:
+                            p = dgm_full_conditional_posterior(i, by_hand, dag, beta, eta, obs.y[i])
+                        by_hand[i] = u[i] < p
+                    assert swept.dtype == np.uint8
+                    assert swept.tolist() == by_hand.tolist()
+                    z = swept
 
     @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
     def test_mrf_sweep_rejects_negative_beta(self, model, lattice22, obs22):
@@ -346,25 +356,27 @@ class TestMhBeta:
         z = setup.integers(0, 2, size=nug.n).astype(np.uint8)
         if model == MDGM_ST:
             dag = samplers.uniform_spanning_tree(nug, setup)
-            name, density = "log_dgm_prior", lambda b: log_dgm_prior(z, dag, b)
+            density = lambda b: log_dgm_prior(z, dag, b)
         else:
             dag = None
-            name, density = "pseudo_likelihood_log", lambda b: pseudo_likelihood_log(z, nug, b)
-        # the move must score through the public function (the name the tracer wraps)
-        public, evaluated = getattr(samplers, name), []
-        monkeypatch.setattr(samplers, name, lambda *a: evaluated.append(a[-1]) or public(*a))
+            density = lambda b: pseudo_likelihood_log(z, nug, b)
+        # the move scores both betas from one balance histogram of z, and its
+        # floats equal those of the public functions
+        histogram, calls = samplers._balance_histogram, []
+        monkeypatch.setattr(samplers, "_balance_histogram", lambda *a: calls.append(1) or histogram(*a))
         priors = PriorSpec(beta_max=2.0)
         beta = 0.5
         for seed in range(200):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            evaluated.clear()
+            calls.clear()
             got, accepted = mh_update_beta(z, nug, dag, beta, rng, model, sd=0.5, priors=priors)
             proposal = twin.normal(beta, 0.5)
             if 0.0 <= proposal <= priors.beta_max:
-                assert sorted(evaluated) == sorted([proposal, beta])
+                assert len(calls) == 1
                 log_ratio = density(proposal) - density(beta)
                 expected = log_ratio >= 0 or twin.random() < math.exp(log_ratio)
             else:
+                assert not calls
                 expected = False
             assert (got, accepted) == ((proposal, True) if expected else (beta, False))
             assert rng.random() == twin.random()
@@ -672,6 +684,16 @@ class TestRunChain:
         assert samples.z.shape == (40, 1) and set(samples.z.ravel().tolist()) <= {0, 1}
         assert (samples.T == 0).all()
         assert ((0.0 <= samples.beta) & (samples.beta <= 0.45)).all()
+
+    def test_st_chain_runs_where_exp_beta_overflows(self):
+        # the chain starts at beta_max / 2 = 750, past e^beta's overflow at 709.8
+        nug = build_lattice_nug(LatticeSpec(4, 4, "second"))
+        obs = Observations(np.random.default_rng(0).integers(0, 2, size=(nug.n, 2)).tolist())
+        config = McmcConfig(iterations=20, burn_in=10, seed=3, model=MDGM_ST,
+                            priors=PriorSpec(beta_max=1500.0))
+        samples = run_chain(obs, nug, config)
+        assert (samples.beta > 700).all() and np.isfinite(samples.eta1).all()
+        assert samples.tree_edges.shape == (10, nug.n - 1, 2)
 
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
