@@ -98,10 +98,13 @@ class McmcConfig:
 
 @dataclass
 class ChainState:
+    """The chain's current values; cftp_horizons is the exact MRF's HorizonHistogram."""
+
     z: np.ndarray
     dag: Dag | None
     beta: float
     eta: NoiseParams
+    cftp_horizons: HorizonHistogram | None = None
 
 
 class PosteriorSamples:
@@ -109,10 +112,12 @@ class PosteriorSamples:
 
     For mdgm-st, tree_edges is a (kept draws, n - 1, 2) array whose row k
     holds tree k's (child, parent) pairs in Dag.directed_edges() order.
+    For exact-mrf, cftp_horizons is the chain's histogram of CFTP horizons
+    over all iterations, burn-in included: entry k counts horizon 2**k.
     """
 
     def __init__(self, model, burn_in, iterations, beta, eta0, eta1, T, z,
-                 tree_edges=None, acceptance=None, eta_stalls=0):
+                 tree_edges=None, acceptance=None, eta_stalls=0, cftp_horizons=None):
         self.model = model
         self.burn_in = burn_in
         self.iterations = iterations
@@ -124,6 +129,7 @@ class PosteriorSamples:
         self.tree_edges = tree_edges
         self.acceptance = acceptance or {}
         self.eta_stalls = eta_stalls
+        self.cftp_horizons = cftp_horizons
 
     @property
     def record_count(self):
@@ -140,7 +146,11 @@ class PosteriorSamples:
         }
 
     def to_jsonl(self, fh):
-        """Newline-delimited JSON records, then a trailing acceptance object."""
+        """Newline-delimited JSON records, then a trailing acceptance object.
+
+        For exact-mrf the trailer also maps each CFTP horizon reached to its
+        count, as {"<horizon>": count}.
+        """
         for b in range(self.record_count):
             rec = {
                 "iter": self.burn_in + b,
@@ -153,10 +163,14 @@ class PosteriorSamples:
             if self.tree_edges is not None:
                 rec["tree_edges"] = self.tree_edges[b].tolist()
             fh.write(json.dumps(rec) + "\n")
-        fh.write(json.dumps({
+        trailer = {
             "acceptance": {k: [int(a), int(p)] for k, (a, p) in self.acceptance.items()},
             "eta_stalls": int(self.eta_stalls),
-        }) + "\n")
+        }
+        if self.cftp_horizons is not None:
+            trailer["cftp_horizons"] = {
+                str(1 << k): int(c) for k, c in enumerate(self.cftp_horizons) if c}
+        fh.write(json.dumps(trailer) + "\n")
 
 
 def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng, model):
@@ -292,24 +306,62 @@ def mh_update_beta(z, nug: Nug, dag, beta, rng, model, sd, priors: PriorSpec):
 
 
 def exchange_update_beta_mrf(z, nug: Nug, beta, rng, sd, priors: PriorSpec,
-                             step_cap=2**20):
+                             step_cap=2**20, horizons=None):
     """Exchange-algorithm beta move for the exact MRF.
 
     Draws an auxiliary perfect sample z* at the proposed beta; the
     intractable normalizers cancel, leaving the log ratio
-    (beta* - beta) * (T(z) - T(z*)).
+    (beta* - beta) * (T(z) - T(z*)). horizons is the chain's
+    HorizonHistogram, passed on to cftp_ising: the draw starts at its
+    start() and adds its own horizon to it. A proposal off the prior support draws no
+    z* and leaves the histogram alone.
     """
     proposal = rng.normal(beta, sd)
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
-    z_aux = cftp_ising(nug, proposal, rng, step_cap=step_cap)
+    z_aux = cftp_ising(nug, proposal, rng, step_cap=step_cap, horizons=horizons)
     log_ratio = (proposal - beta) * (suff_stat_T(z, nug) - suff_stat_T(z_aux, nug))
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return beta, False
 
 
-def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
+class HorizonHistogram:
+    """CFTP coalescence horizons of a chain's exchange draws, per power of two.
+
+    counts[k] counts the draws that recorded horizon 2**k over the whole
+    chain. recent holds the same entries but forgets: once it sums past
+    WINDOW, every entry halves (rounding down). Its lower median is the
+    next draw's start, so the start follows beta as it drifts rather than
+    staying near horizons recorded far back, such as during burn-in.
+    """
+
+    WINDOW = 16
+
+    def __init__(self, counts=()):
+        self.counts = list(counts)
+        self.recent = list(counts)
+
+    def start(self):
+        """Lower median of the recent horizons; 1 when there are none."""
+        total = sum(self.recent)
+        seen = 0
+        for k, count in enumerate(self.recent):
+            seen += count
+            if total and 2 * seen >= total:
+                return 1 << k
+        return 1
+
+    def add(self, slot):
+        """Record one draw's horizon 2**slot."""
+        for hist in (self.counts, self.recent):
+            hist.extend([0] * (slot + 1 - len(hist)))
+            hist[slot] += 1
+        if sum(self.recent) > self.WINDOW:
+            self.recent = [c >> 1 for c in self.recent]
+
+
+def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False, horizons=None):
     """Perfect draw from p(z) ~ exp(beta * T(z)) by coupling from the past.
 
     Monotone sandwich of the all-zeros and all-ones chains under shared
@@ -327,6 +379,16 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     systematic site order, but vectorizable), by the heat-bath kernel that
     the MRF z sweep also uses. Raises CoalescenceError when step_cap site
     updates pass without coalescence.
+
+    With horizons=None the start time doubles from 1. Otherwise horizons is
+    the HorizonHistogram of earlier draws (the exact-MRF chain keeps one,
+    ChainState.cftp_horizons). The first start time is then its
+    start() H, and the first block holds all H steps. Propp and Wilson's
+    argument allows any increasing start times chosen without the draw's
+    own uniforms, so the draw is still exact. After coalescing, the draw
+    adds its horizon to the histogram. A draw that coalesces at its first
+    start H > 1 only shows that its horizon is at most H, and records
+    H / 2, so the start can fall as well as rise.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
@@ -343,17 +405,18 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
     chunk = max(1, 2**16 // n)  # rows of uniforms per generator call
     start = np.zeros(2 * n + 1, dtype=np.uint8)  # lower chain at zero, upper at one
     start[positions[1]] = 1
-    blocks = []  # one (time steps, 2n) threshold block per doubling
-    horizon = 1
+    blocks = []  # one (time steps, 2n) threshold block per start time
+    first = horizon = 1 if horizons is None else horizons.start()
+    covered = 0  # steps -covered .. -1 hold cached thresholds
     updates = 0
     while True:
-        # The new steps -horizon .. -horizon // 2 - 1, earliest first, but
-        # none that a step-at-a-time loop would not draw before passing step_cap.
-        rows = min((horizon + 1) // 2, (step_cap - updates) // (2 * n) + 1)
+        # The new steps -horizon .. -covered - 1, earliest first, but none
+        # that a step-at-a-time loop would not draw before passing step_cap.
+        rows = min(horizon - covered, (step_cap - updates) // (2 * n) + 1)
         new = np.zeros((rows, n), dtype=count_type)
-        for first in range(0, rows, chunk):
-            u = rng.random((min(chunk, rows - first), n))
-            part = new[first : first + len(u)]
+        for top in range(0, rows, chunk):
+            u = rng.random((min(chunk, rows - top), n))
+            part = new[top : top + len(u)]
             for column in columns:
                 part += column <= u
         blocks.append(new[:, order])
@@ -370,12 +433,18 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False):
                 if updates > step_cap:
                     raise CoalescenceError(
                         f"no coalescence within {step_cap} site updates "
-                        f"(beta={beta:.4g}, n={n}): reached horizon {horizon} after "
-                        f"{updates} site updates; near-critical beta mixes too slowly"
+                        f"(beta={beta:.4g}, n={n}): started at horizon {first}, "
+                        f"reached horizon {horizon} after {updates} site updates; "
+                        "near-critical beta mixes too slowly"
                     )
         lo = state[positions[0]]
         if (lo == state[positions[1]]).all():
+            if horizons is not None:
+                slot = horizon.bit_length() - 1
+                # censored: the horizon is at most first
+                horizons.add(slot - 1 if horizon == first > 1 else slot)
             return lo
+        covered = horizon
         horizon *= 2
 
 
@@ -452,7 +521,8 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
         dag = _draw_dag(nug, rng, class_tag, rooted_cache)
     else:
         dag = None
-    return ChainState(z=z, dag=dag, beta=beta, eta=eta)
+    horizons = HorizonHistogram() if config.model == EXACT_MRF else None
+    return ChainState(z=z, dag=dag, beta=beta, eta=eta, cftp_horizons=horizons)
 
 
 def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSamples:
@@ -510,6 +580,7 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
                 state.beta, ok = exchange_update_beta_mrf(
                     state.z, nug, state.beta, rng,
                     config.beta_proposal_sd, config.priors, config.cftp_step_cap,
+                    state.cftp_horizons,
                 )
             else:
                 state.beta, ok = mh_update_beta(
@@ -545,4 +616,5 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
         tree_edges=rec_trees,
         acceptance={k: tuple(v) for k, v in accept.items()},
         eta_stalls=eta_stalls,
+        cftp_horizons=None if state.cftp_horizons is None else state.cftp_horizons.counts,
     )

@@ -21,6 +21,7 @@ from dagmix import (
     exact_posterior_oracle,
     generate_dataset,
     joint_beta_oracle,
+    kac_ward_log_partition,
     mrf_full_conditional,
     posterior_mean_accuracy,
     posterior_rmse_T,
@@ -413,6 +414,29 @@ class TestOracle:
         assert st.n_components == 4
         assert rooted.n_components == 4
         assert ao.n_components == 14
+
+
+class TestKacWard:
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (3, 4), (4, 4)])
+    def test_matches_enumeration(self, rows, cols):
+        spec = LatticeSpec(rows, cols, "first")
+        nug = build_lattice_nug(spec)
+        fields = field_matrix(nug.n)
+        ends = np.array(nug.edges)
+        t = (fields[:, ends[:, 0]] == fields[:, ends[:, 1]]).sum(axis=1)
+        for beta in (0.0, 0.3, 0.9, 2.0):
+            want = float(logsumexp(beta * t))
+            assert kac_ward_log_partition(spec, beta) == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_single_cell_and_chain(self):
+        assert kac_ward_log_partition(LatticeSpec(1, 1), 0.7) == pytest.approx(math.log(2))
+        # a path of 4 cells: Z = 2 (1 + e^beta)^3
+        want = math.log(2) + 3 * math.log1p(math.exp(0.7))
+        assert kac_ward_log_partition(LatticeSpec(1, 4), 0.7) == pytest.approx(want, abs=1e-12)
+
+    def test_second_order_rejected(self):
+        with pytest.raises(ValueError, match="first-order"):
+            kac_ward_log_partition(LatticeSpec(3, 3, "second"), 0.3)
 
 
 def _spanning_tree_prior_by_enumeration(nug, fields, beta):

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from scipy.special import logsumexp
+from scipy.stats import norm
 
 from dagmix import (
     CoalescenceError,
@@ -41,6 +42,7 @@ from dagmix.experiments import (
     enumerate_orientation_mixture,
     exact_posterior_oracle,
     joint_beta_oracle,
+    kac_ward_log_partition,
     ks_distance,
 )
 from dagmix.samplers import (
@@ -50,6 +52,7 @@ from dagmix.samplers import (
     MDGM_AO,
     MDGM_ROOTED,
     MDGM_ST,
+    HorizonHistogram,
     _sample_truncated_beta,
 )
 from conftest import all_fields, quiet_obs
@@ -551,6 +554,86 @@ class TestCftp:
                            match="reached horizon 16 after 2048 site updates"):
             cftp_ising(nug, 0.8, rng, step_cap=2000)
 
+    def test_warm_start_cap_error_names_its_start(self):
+        # a histogram whose median is 32: the first block's 16th step passes the cap
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        rng = np.random.default_rng(14)
+        with pytest.raises(CoalescenceError,
+                           match="started at horizon 32, reached horizon 32 after 2048 site updates"):
+            cftp_ising(nug, 0.8, rng, step_cap=2000,
+                       horizons=HorizonHistogram([0, 0, 0, 0, 0, 1]))
+
+    def test_warm_start_draws_its_first_block_at_once(self):
+        # 2x3 at beta 0.3 coalesces within 16 steps for this seed: the draw
+        # consumes the 16 x 6 uniforms of one block and records the censored 8
+        nug = build_lattice_nug(LatticeSpec(2, 3, "first"))
+        rng, twin = np.random.default_rng(18), np.random.default_rng(18)
+        horizons = HorizonHistogram([0, 1, 0, 0, 3])  # lower median 16
+        cftp_ising(nug, 0.3, rng, horizons=horizons)
+        twin.random((16, 6))
+        assert rng.random() == twin.random()
+        assert horizons.counts == horizons.recent == [0, 1, 0, 1, 3]
+
+    def test_warm_start_forgets_old_horizons(self):
+        # 64 draws at horizon 4096, say from a burn-in at high beta, then
+        # draws at beta 0.3 that coalesce within 16 steps. Each records one
+        # level below its start, and the halving window lets the start fall
+        # to 16 within 100 draws (69 for this seed); with every count kept
+        # it would take thousands. counts still holds every draw.
+        nug = build_lattice_nug(LatticeSpec(2, 3, "first"))
+        rng = np.random.default_rng(21)
+        horizons = HorizonHistogram([0] * 12 + [64])
+        for _ in range(100):
+            cftp_ising(nug, 0.3, rng, horizons=horizons)
+        assert horizons.start() <= 16
+        assert sum(horizons.counts) == 164
+        assert sum(horizons.recent) <= HorizonHistogram.WINDOW
+
+    @pytest.mark.parametrize("start", [4, 16])
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    def test_warm_start_matches_enumeration(self, start, beta):
+        # criterion 6's graph and TV bound; every draw starts at `start`
+        nug = build_lattice_nug(LatticeSpec(2, 3, "first"))
+        fields = all_fields(6)
+        logw = beta * np.array([suff_stat_T(f, nug) for f in fields])
+        target = np.exp(logw - logsumexp(logw))
+        index = {f: k for k, f in enumerate(fields)}
+        rng = np.random.default_rng(19)
+        prefill = [0] * start.bit_length()
+        prefill[-1] = 1
+        counts = np.zeros(len(fields))
+        draws = 4 * 10**4
+        for _ in range(draws):
+            z = cftp_ising(nug, beta, rng, horizons=HorizonHistogram(prefill))
+            counts[index[tuple(int(v) for v in z)]] += 1
+        assert 0.5 * np.abs(counts / draws - target).sum() < 0.02
+
+    @pytest.mark.parametrize("beta, draws", [(0.6, 4000), (0.8, 1000)])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_lattice_moments_match_kac_ward(self, beta, draws, warm):
+        # Mean and variance of T over 16x16 first-order draws against the
+        # derivatives of the Kac-Ward log Z. The family is 2 betas x 2 paths
+        # x 2 moments = 8 two-sided z tests at a family-wise error of 1e-3.
+        bound = norm.isf(1e-3 / (2 * 8))
+        spec = LatticeSpec(16, 16, "first")
+        nug = build_lattice_nug(spec)
+        h = 1e-4
+        lo, mid, hi = (kac_ward_log_partition(spec, beta + d) for d in (-h, 0.0, h))
+        mean = (hi - lo) / (2 * h)
+        var = (hi - 2 * mid + lo) / h**2
+        rng = np.random.default_rng(20)
+        horizons = HorizonHistogram() if warm else None
+        t = np.array([suff_stat_T(cftp_ising(nug, beta, rng, horizons=horizons), nug)
+                      for _ in range(draws)], dtype=np.float64)
+        dev = t - t.mean()
+        sample_var = dev @ dev / (draws - 1)
+        fourth = np.mean(dev**4)
+        z_mean = (t.mean() - mean) / math.sqrt(var / draws)
+        z_var = (sample_var - var) / math.sqrt((fourth - sample_var**2) / draws)
+        assert abs(z_mean) < bound and abs(z_var) < bound, (z_mean, z_var, bound)
+        if warm:
+            assert sum(horizons.counts) == draws
+
     def test_negative_beta_rejected(self, lattice22):
         with pytest.raises(ValueError):
             cftp_ising(lattice22, -0.1, np.random.default_rng(15))
@@ -695,6 +778,23 @@ class TestRunChain:
         assert (samples.beta > 700).all() and np.isfinite(samples.eta1).all()
         assert samples.tree_edges.shape == (10, nug.n - 1, 2)
 
+    def test_horizon_histogram_counts_each_exchange_draw(self, lattice22, obs22, monkeypatch):
+        # beta starts at 0 with sd 0.3, so many proposals fall below the support
+        calls = []
+
+        def counting_cftp(*args, **kwargs):
+            calls.append(1)
+            return cftp_ising(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "cftp_ising", counting_cftp)
+        cfg = McmcConfig(iterations=300, burn_in=100, seed=6, model=EXACT_MRF,
+                         beta_proposal_sd=0.3, priors=PriorSpec(beta_max=0.45),
+                         init=Init(beta=0.0))
+        samples = run_chain(obs22, lattice22, cfg)
+        assert 0 < len(calls) < cfg.iterations
+        assert sum(samples.cftp_horizons) == len(calls)
+        assert run_chain(obs22, lattice22, McmcConfig(iterations=30, burn_in=10)).cftp_horizons is None
+
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
         samples = run_chain(obs22, lattice22, cfg)
@@ -790,3 +890,16 @@ class TestRunChain:
         trailer = json.loads(lines[-1])
         assert "acceptance" in trailer and "eta_stalls" in trailer
         assert set(trailer["acceptance"]) == {"dag", "beta"}
+        assert "cftp_horizons" not in trailer
+
+    def test_jsonl_trailer_holds_exact_mrf_horizons(self, lattice22, obs22):
+        cfg = McmcConfig(iterations=40, burn_in=20, seed=5, model=EXACT_MRF,
+                         priors=PriorSpec(beta_max=0.45))
+        samples = run_chain(obs22, lattice22, cfg)
+        buf = io.StringIO()
+        samples.to_jsonl(buf)
+        trailer = json.loads(buf.getvalue().strip().split("\n")[-1])
+        assert set(trailer) == {"acceptance", "eta_stalls", "cftp_horizons"}
+        want = {str(2**k): c for k, c in enumerate(samples.cftp_horizons) if c}
+        assert trailer["cftp_horizons"] == want and want
+        assert sum(want.values()) <= trailer["acceptance"]["beta"][1]

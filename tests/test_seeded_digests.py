@@ -15,7 +15,7 @@ PINNED = [
     "mdgm-rooted 44ce281c5c28303a",
     "mdgm-ao be20dc2fa74625be",
     "amrf 9168f4006003619e",
-    "exact-mrf b6d3e84b8aafef79",
+    "exact-mrf 88067973fe9b2bcb",
     "cftp ffa081d688406592",
     "graph eb959e0b21918e2e",
 ]
