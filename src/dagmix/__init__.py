@@ -59,7 +59,6 @@ from .samplers import (
     MDGM_MODELS,
     MDGM_ROOTED,
     MDGM_ST,
-    ChainState,
     CoalescenceError,
     Init,
     McmcConfig,

@@ -353,7 +353,11 @@ _HANDLERS = {
 
 def _apply_config_file(subparsers, argv):
     """Pre-parse --config PATH or --config=PATH and install its values as
-    subcommand defaults."""
+    subcommand defaults.
+
+    Each value must be a JSON string or number, and is installed as text, so
+    that the flag's type checks it as it would on the command line.
+    """
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
@@ -379,7 +383,9 @@ def _apply_config_file(subparsers, argv):
         dest = key.replace("-", "_")
         if dest not in valid:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
-        defaults[dest] = value
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
+        defaults[dest] = str(value)
     sp.set_defaults(**defaults)
     return argv
 

@@ -223,15 +223,15 @@ def _uniforms(rng, size):
         yield from memoryview(rng.random(size))
 
 
-def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
+def _wilson_tree(nug: Nug, rng, cum) -> Dag:
     """Loop-erased random-walk spanning tree draw.
 
-    With cum None the walk is simple and the skeleton is uniform over all
-    spanning trees. Otherwise cum[v] lists the cumulative edge weights over
-    v's neighbors (row v of nug.padded_neighbors(), padding weighted 0, so
-    cum[v][-1] is the total): the walk moves from v to neighbor u with
-    probability proportional to the weight of (v, u), and the skeleton
-    probability is proportional to the product of its edge weights. The
+    cum[v] lists the cumulative edge weights over v's neighbors (row v of
+    nug.padded_neighbors(), padding weighted 0, so cum[v][-1] is the total):
+    the walk moves from v to neighbor u with probability proportional to the
+    weight of (v, u), and the skeleton probability is proportional to the
+    product of its edge weights. At unit weights the walk is simple and the
+    skeleton is uniform over all spanning trees. The
     root is uniform and edges point away from it; following the walk's
     successor pointers, each vertex's parent is its neighbor on the path
     toward the root. Unvisited vertices are processed in ascending index
@@ -252,12 +252,8 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
             continue
         v = start
         while not in_tree[v]:
-            nb = nbrs[v]
-            if cum is None:
-                u = nb[int(uniform() * len(nb))]
-            else:
-                row = cum[v]
-                u = nb[bisect.bisect_right(row, uniform() * row[-1])]
+            row = cum[v]
+            u = nbrs[v][bisect.bisect_right(row, uniform() * row[-1])]
             nxt[v] = u
             v = u
         v = start
@@ -271,8 +267,12 @@ def _wilson_tree(nug: Nug, rng, cum=None) -> Dag:
 
 
 def uniform_spanning_tree(nug: Nug, rng) -> Dag:
-    """Uniform spanning tree of the NUG, rooted uniformly at random."""
-    return _wilson_tree(nug, rng)
+    """Uniform spanning tree of the NUG, rooted uniformly at random.
+
+    It is the unit-weight walk: posterior_spanning_tree at beta 0, whose
+    weights e^0 and 1 are equal whatever the field.
+    """
+    return posterior_spanning_tree(nug, np.zeros(nug.n, dtype=np.uint8), 0.0, rng)
 
 
 def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
@@ -331,7 +331,7 @@ def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
     mid = np.arange(n + c, n + c + len(mi))
     ti = np.concatenate((i, lowest, n + label[mi], n + label[mj]))
     tj = np.concatenate((j, np.arange(n, n + c), mid, mid))
-    walk = _wilson_tree(_trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti)), rng)
+    walk = uniform_spanning_tree(_trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti)), rng)
     ties = np.bincount(np.concatenate((walk.edge_child, walk.edge_parent)), minlength=n + c + len(mi))
     inner = (walk.edge_child < n) & (walk.edge_parent < n)
     edges = np.concatenate((np.column_stack((walk.edge_child, walk.edge_parent))[inner],

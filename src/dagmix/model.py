@@ -250,20 +250,12 @@ def _unit_logliks(m, s, eta: NoiseParams):
 
 
 def log_likelihood(obs: Observations, z, eta: NoiseParams) -> float:
-    """Sum of Bernoulli log masses; units without ratings contribute zero."""
+    """Sum of the per-unit log masses that the z sweep uses; units without ratings contribute zero."""
     zz = np.asarray(z, dtype=np.int64)
     if zz.shape != (obs.n,):
         raise ValueError(f"field length {zz.shape} does not match {obs.n} units")
-    s, m = obs.s, obs.m
-    ones = zz == 1
-    out = 0.0
-    s1, f1 = int(s[ones].sum()), int((m[ones] - s[ones]).sum())
-    s0, f0 = int(s[~ones].sum()), int((m[~ones] - s[~ones]).sum())
-    if s1 or f1:
-        out += s1 * math.log(eta.eta1) + f1 * math.log1p(-eta.eta1)
-    if s0 or f0:
-        out += s0 * math.log(eta.eta0) + f0 * math.log1p(-eta.eta0)
-    return out
+    ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
+    return float(np.where(zz == 1, ll1, ll0).sum())
 
 
 def parent_conditional(z_i, z_parents, beta: float) -> float:

@@ -20,6 +20,7 @@ from scipy import special
 from .dags import (
     CLASS_ACYCLIC_ORIENTATION,
     CLASS_ROOTED,
+    CLASS_SPANNING_TREE,
     Dag,
     acyclic_orientation,
     posterior_spanning_tree,
@@ -96,24 +97,15 @@ class McmcConfig:
             raise ValueError("cftp_step_cap must be positive")
 
 
-@dataclass
-class ChainState:
-    """The chain's current values; cftp_horizons is the exact MRF's HorizonHistogram."""
-
-    z: np.ndarray
-    dag: Dag | None
-    beta: float
-    eta: NoiseParams
-    cftp_horizons: HorizonHistogram | None = None
-
-
 class PosteriorSamples:
     """Post-burn-in draws plus acceptance bookkeeping for one chain.
 
     For mdgm-st, tree_edges is a (kept draws, n - 1, 2) array whose row k
     holds tree k's (child, parent) pairs in Dag.directed_edges() order.
-    For exact-mrf, cftp_horizons is the chain's histogram of CFTP horizons
-    over all iterations, burn-in included: entry k counts horizon 2**k.
+    For exact-mrf, cftp_horizons is the chain's histogram of recorded CFTP
+    horizons over all iterations, burn-in included: entry k counts horizon
+    2**k. A draw records the horizon where it coalesced, or H / 2 when it
+    coalesced at its start H > 1 (see cftp_ising).
     """
 
     def __init__(self, model, burn_in, iterations, beta, eta0, eta1, T, z,
@@ -148,8 +140,8 @@ class PosteriorSamples:
     def to_jsonl(self, fh):
         """Newline-delimited JSON records, then a trailing acceptance object.
 
-        For exact-mrf the trailer also maps each CFTP horizon reached to its
-        count, as {"<horizon>": count}.
+        For exact-mrf the trailer also maps each recorded CFTP horizon to its
+        count, as {"<horizon>": count}, counted as in cftp_horizons.
         """
         for b in range(self.record_count):
             rec = {
@@ -173,23 +165,23 @@ class PosteriorSamples:
         fh.write(json.dumps(trailer) + "\n")
 
 
-def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng, model):
+def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng):
     """One systematic sweep over the latent field, one uniform u_i per site.
 
-    DAG-mixture models draw each site in ascending index from its
-    DAG-posterior full conditional, z_i = 1 when u_i < P(z_i = 1 | rest).
-    They keep every site's count of parents at one, n1, from one bincount
-    at the start of the sweep, and when z_i flips they move n1 of each of
-    i's children by one. The children come from Dag.flat_children(), so a
-    site costs one read per child, and model._site_logit, the body of the
-    public full conditionals, scores it.
-    amrf and the exact MRF use the MRF full conditional times the unit
-    likelihood, with log-odds beta * (2 n1_i - deg_i) + dll_i for n1_i
-    neighbors at one and the unit's log-likelihood difference dll_i. They
-    sweep class by class over Nug.color_classes(): sites in one class are
-    not adjacent, so they are conditionally independent given the rest and
-    a whole class updates at once, still a systematic scan. Their beta must
-    be nonnegative: then the log-odds rise with n1_i, and z_i = 1 exactly
+    Given a DAG (the mixture models), the sweep draws each site in ascending
+    index from its DAG-posterior full conditional, z_i = 1 when u_i <
+    P(z_i = 1 | rest). It keeps every site's count of parents at one, n1,
+    from one bincount at the start of the sweep, and when z_i flips it moves
+    n1 of each of i's children by one. The children come from
+    Dag.flat_children(), so a site costs one read per child, and
+    model._site_logit, the body of the public full conditionals, scores it.
+    With dag None (amrf and the exact MRF) the sweep uses the MRF full
+    conditional times the unit likelihood, with log-odds beta * (2 n1_i -
+    deg_i) + dll_i for n1_i neighbors at one and the unit's log-likelihood
+    difference dll_i. It sweeps class by class over Nug.color_classes():
+    sites in one class are not adjacent, so they are conditionally
+    independent given the rest and a whole class updates at once, still a
+    systematic scan. Its beta must be nonnegative: then the log-odds rise with n1_i, and z_i = 1 exactly
     when n1_i reaches the threshold #{k : beta * (2k - deg_i) + dll_i <=
     log u_i - log(1 - u_i)}. The heat-bath kernel shared with cftp_ising
     compares the counts against these thresholds, with no exp to overflow.
@@ -197,7 +189,7 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     n = nug.n
     ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
     u = rng.random(n)
-    if model in MDGM_MODELS:
+    if dag is not None:
         zz = _as_ints(z)
         dll = (ll1 - ll0).tolist()
         u = u.tolist()
@@ -261,14 +253,15 @@ def _draw_dag(nug: Nug, rng, class_tag, rooted_cache=None) -> Dag:
     raise ValueError(f"MH DAG update is for rooted/orientation classes, not {class_tag!r}")
 
 
-def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, class_tag, rooted_cache=None):
-    """Independence MH move on the DAG, proposing from the class prior.
+def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, rooted_cache=None):
+    """Independence MH move on the DAG, proposing from the prior of dag.class_tag.
 
     Proposal and prior cancel (uniform root for the rooted class; uniform
     permutation for orientations), leaving the prior-likelihood ratio
-    p(z|D*, beta) / p(z|D, beta). rooted_cache is as in _draw_dag.
+    p(z|D*, beta) / p(z|D, beta). rooted_cache is as in _draw_dag. Any
+    other class raises ValueError before a random number is drawn.
     """
-    proposal = _draw_dag(nug, rng, class_tag, rooted_cache)
+    proposal = _draw_dag(nug, rng, dag.class_tag, rooted_cache)
     log_ratio = log_dgm_prior(z, proposal, beta) - log_dgm_prior(z, dag, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
@@ -280,25 +273,20 @@ def direct_update_st(z, nug: Nug, beta, rng) -> Dag:
     return posterior_spanning_tree(nug, z, beta, rng)
 
 
-def _balances(z, nug, dag, model):
-    """Balance histogram of the beta MH target's latent-prior term (DAG prior or pseudo-likelihood)."""
-    if model in MDGM_MODELS:
-        return _balance_histogram(z, dag.edge_child, dag.edge_parent, dag.in_degree)
-    if model == AMRF:
-        return _balance_histogram(z, nug.arc_i, nug.arc_j, nug.degrees)
-    raise ValueError(f"no random-walk beta update for model {model!r}")
-
-
-def mh_update_beta(z, nug: Nug, dag, beta, rng, model, sd, priors: PriorSpec):
+def mh_update_beta(z, nug: Nug, dag, beta, rng, sd, priors: PriorSpec):
     """Gaussian random-walk move on beta; proposals off the prior support reject.
 
-    The log ratio is log_dgm_prior (or pseudo_likelihood_log) at the proposal
-    minus its value at beta, both scored from one balance histogram of z.
+    The log ratio is log_dgm_prior at the proposal minus its value at beta,
+    or pseudo_likelihood_log's when dag is None (amrf), both scored from one
+    balance histogram of z over the DAG's parent arcs or the NUG's arcs.
     """
     proposal = rng.normal(beta, sd)
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
-    hist, excess = _balances(z, nug, dag, model)
+    if dag is not None:
+        hist, excess = _balance_histogram(z, dag.edge_child, dag.edge_parent, dag.in_degree)
+    else:
+        hist, excess = _balance_histogram(z, nug.arc_i, nug.arc_j, nug.degrees)
     log_ratio = _log_site_product(hist, excess, proposal) - _log_site_product(hist, excess, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
@@ -380,15 +368,14 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False, horizons=Non
     the MRF z sweep also uses. Raises CoalescenceError when step_cap site
     updates pass without coalescence.
 
-    With horizons=None the start time doubles from 1. Otherwise horizons is
-    the HorizonHistogram of earlier draws (the exact-MRF chain keeps one,
-    ChainState.cftp_horizons). The first start time is then its
-    start() H, and the first block holds all H steps. Propp and Wilson's
-    argument allows any increasing start times chosen without the draw's
-    own uniforms, so the draw is still exact. After coalescing, the draw
-    adds its horizon to the histogram. A draw that coalesces at its first
-    start H > 1 only shows that its horizon is at most H, and records
-    H / 2, so the start can fall as well as rise.
+    horizons is the HorizonHistogram of earlier draws (run_chain keeps one
+    per exact-MRF chain); None stands for an empty one, whose start is 1.
+    The first start time is its start() H, and the first block holds all H
+    steps. Propp and Wilson's argument allows any increasing start times
+    chosen without the draw's own uniforms, so the draw is still exact.
+    After coalescing, the draw adds its horizon to the histogram. A draw
+    that coalesces at its first start H > 1 only shows that its horizon is
+    at most H, and records H / 2, so the start can fall as well as rise.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
@@ -406,7 +393,9 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False, horizons=Non
     start = np.zeros(2 * n + 1, dtype=np.uint8)  # lower chain at zero, upper at one
     start[positions[1]] = 1
     blocks = []  # one (time steps, 2n) threshold block per start time
-    first = horizon = 1 if horizons is None else horizons.start()
+    if horizons is None:
+        horizons = HorizonHistogram()
+    first = horizon = horizons.start()
     covered = 0  # steps -covered .. -1 hold cached thresholds
     updates = 0
     while True:
@@ -439,10 +428,9 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False, horizons=Non
                     )
         lo = state[positions[0]]
         if (lo == state[positions[1]]).all():
-            if horizons is not None:
-                slot = horizon.bit_length() - 1
-                # censored: the horizon is at most first
-                horizons.add(slot - 1 if horizon == first > 1 else slot)
+            slot = horizon.bit_length() - 1
+            # censored: the horizon is at most first
+            horizons.add(slot - 1 if horizon == first > 1 else slot)
             return lo
         covered = horizon
         horizon *= 2
@@ -486,7 +474,8 @@ def gibbs_update_eta(obs: Observations, z, eta: NoiseParams, priors: PriorSpec, 
 
 
 def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
-                   class_tag, rooted_cache) -> ChainState:
+                   class_tag, rooted_cache):
+    """The chain's starting (z, dag, beta, eta); dag is a draw from class_tag's prior, or None."""
     init = config.init
     if init.eta is not None:
         eta = NoiseParams(float(init.eta[0]), float(init.eta[1]))
@@ -515,14 +504,13 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
         if ((z != 0) & (z != 1)).any():
             raise ValueError("initial z must hold only 0 and 1")
         z = z.astype(np.uint8)
-    if config.model == MDGM_ST:
+    if class_tag == CLASS_SPANNING_TREE:
         dag = uniform_spanning_tree(nug, rng)
     elif class_tag is not None:
         dag = _draw_dag(nug, rng, class_tag, rooted_cache)
     else:
         dag = None
-    horizons = HorizonHistogram() if config.model == EXACT_MRF else None
-    return ChainState(z=z, dag=dag, beta=beta, eta=eta, cftp_horizons=horizons)
+    return z, dag, beta, eta
 
 
 def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSamples:
@@ -541,10 +529,12 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
         raise ValueError("the NUG must be connected")
     rng = np.random.default_rng(config.seed)
     model = config.model
-    class_tag = {MDGM_ROOTED: CLASS_ROOTED, MDGM_AO: CLASS_ACYCLIC_ORIENTATION}.get(model)
+    class_tag = {MDGM_ST: CLASS_SPANNING_TREE, MDGM_ROOTED: CLASS_ROOTED,
+                 MDGM_AO: CLASS_ACYCLIC_ORIENTATION}.get(model)
     # A k-iteration chain draws at most k + 1 roots: build each on first use.
     rooted_cache = [None] * nug.n if model == MDGM_ROOTED else None
-    state = _initial_state(obs, nug, config, rng, class_tag, rooted_cache)
+    z, dag, beta, eta = _initial_state(obs, nug, config, rng, class_tag, rooted_cache)
+    horizons = HorizonHistogram() if model == EXACT_MRF else None
 
     keep = config.iterations - config.burn_in
     rec_beta = np.empty(keep)
@@ -563,46 +553,40 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     for b in range(config.iterations):
         if model in MDGM_MODELS:
             if model == MDGM_ST:  # exact conditional draws: always accepted
-                state.dag, ok = direct_update_st(state.z, nug, state.beta, rng), True
+                dag, ok = direct_update_st(z, nug, beta, rng), True
             else:
-                state.dag, ok = mh_update_dag(
-                    state.z, nug, state.dag, state.beta, rng, class_tag, rooted_cache
-                )
+                dag, ok = mh_update_dag(z, nug, dag, beta, rng, rooted_cache)
             accept["dag"][0] += ok
             accept["dag"][1] += 1
 
-        state.z = gibbs_update_z(
-            state.z, nug, state.dag, state.beta, state.eta, obs, rng, model
-        )
+        z = gibbs_update_z(z, nug, dag, beta, eta, obs, rng)
 
         if config.update_beta:
             if model == EXACT_MRF:
-                state.beta, ok = exchange_update_beta_mrf(
-                    state.z, nug, state.beta, rng,
-                    config.beta_proposal_sd, config.priors, config.cftp_step_cap,
-                    state.cftp_horizons,
+                beta, ok = exchange_update_beta_mrf(
+                    z, nug, beta, rng, config.beta_proposal_sd, config.priors,
+                    config.cftp_step_cap, horizons,
                 )
             else:
-                state.beta, ok = mh_update_beta(
-                    state.z, nug, state.dag, state.beta, rng,
-                    model, config.beta_proposal_sd, config.priors,
+                beta, ok = mh_update_beta(
+                    z, nug, dag, beta, rng, config.beta_proposal_sd, config.priors
                 )
             accept["beta"][0] += ok
             accept["beta"][1] += 1
 
         if config.update_eta:
-            state.eta, stalls = gibbs_update_eta(obs, state.z, state.eta, config.priors, rng)
+            eta, stalls = gibbs_update_eta(obs, z, eta, config.priors, rng)
             eta_stalls += stalls
 
         if b >= config.burn_in:
             k = b - config.burn_in
-            rec_beta[k] = state.beta
-            rec_eta0[k] = state.eta.eta0
-            rec_eta1[k] = state.eta.eta1
-            rec_T[k] = suff_stat_T(state.z, nug)
-            rec_z[k] = state.z
+            rec_beta[k] = beta
+            rec_eta0[k] = eta.eta0
+            rec_eta1[k] = eta.eta1
+            rec_T[k] = suff_stat_T(z, nug)
+            rec_z[k] = z
             if rec_trees is not None:
-                rec_trees[k] = np.column_stack((state.dag.edge_child, state.dag.edge_parent))
+                rec_trees[k] = np.column_stack((dag.edge_child, dag.edge_parent))
 
     return PosteriorSamples(
         model=model,
@@ -616,5 +600,5 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
         tree_edges=rec_trees,
         acceptance={k: tuple(v) for k, v in accept.items()},
         eta_stalls=eta_stalls,
-        cftp_horizons=None if state.cftp_horizons is None else state.cftp_horizons.counts,
+        cftp_horizons=None if horizons is None else horizons.counts,
     )

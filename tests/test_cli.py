@@ -354,6 +354,24 @@ class TestConfigFile:
         assert main(["fit", "--graph", str(g), f"--config={cfg}", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 11
 
+    @pytest.mark.parametrize("key, value", [
+        ("iters", 30.0), ("seed", 1.5), ("models", ["amrf"]), ("reps", True),
+        ("eta", None), ("obs", {"fixed": 2}),
+    ])
+    def test_value_of_wrong_type_is_a_usage_error(self, key, value, tmp_path, capsys):
+        # a number goes through the flag's own type, like the same text on the
+        # command line; a list, object, boolean or null names its key
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "rows": 3, "cols": 3, "beta-grid": "0.1", "eta": 0.05, "obs": "fixed:2",
+            "reps": 1, "models": "mdgm-st", "iters": 50, "burnin": 20, "seed": 5, key: value,
+        }))
+        out = tmp_path / "study.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            assert repr(key) in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rows": 3, "colz": 3}))

@@ -37,7 +37,7 @@ from dagmix import (
     uniform_spanning_tree,
 )
 from dagmix import samplers
-from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, CLASS_ROOTED, Dag
+from dagmix.dags import Dag
 from dagmix.experiments import (
     enumerate_orientation_mixture,
     exact_posterior_oracle,
@@ -79,7 +79,7 @@ class TestGibbsZ:
         hits = np.zeros(4)
         sweeps = 20000
         for _ in range(sweeps):
-            z = gibbs_update_z(z, lattice22, dag, 0.0, eta, obs, rng, MDGM_ST)
+            z = gibbs_update_z(z, lattice22, dag, 0.0, eta, obs, rng)
             hits += z
         assert np.abs(hits / sweeps - 16 / 17).max() < 0.01
 
@@ -91,7 +91,7 @@ class TestGibbsZ:
         hits = np.zeros(4)
         sweeps = 20000
         for _ in range(sweeps):
-            z = gibbs_update_z(z, lattice22, None, 0.0, eta, obs, rng, AMRF)
+            z = gibbs_update_z(z, lattice22, None, 0.0, eta, obs, rng)
             hits += z
         assert np.abs(hits / sweeps - 0.5).max() < 0.015
 
@@ -120,7 +120,7 @@ class TestGibbsZ:
                 rng, twin = np.random.default_rng(21), np.random.default_rng(21)
                 z = np.array([0, 1, 1, 0, 0, 1, 0, 1, 0], dtype=np.uint8)
                 for _ in range(20):
-                    swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng, model)
+                    swept = gibbs_update_z(z, nug, dag, beta, eta, obs, rng)
                     u = twin.random(nug.n)
                     by_hand = z.copy()
                     for i in order:
@@ -141,7 +141,7 @@ class TestGibbsZ:
         z = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError, match="nonnegative"):
             gibbs_update_z(z, lattice22, None, -0.1, NoiseParams(0.2, 0.8), obs22,
-                           np.random.default_rng(0), model)
+                           np.random.default_rng(0))
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_thousand_agreeing_ratings_do_not_overflow(self, model):
@@ -157,7 +157,7 @@ class TestGibbsZ:
         rng = np.random.default_rng(5)
         z = np.ones(2, dtype=np.uint8)
         for _ in range(10):
-            z = gibbs_update_z(z, nug, dag, 0.5, eta, obs, rng, model)
+            z = gibbs_update_z(z, nug, dag, 0.5, eta, obs, rng)
             assert z[0] == 0
         if dag is not None:
             assert 0.0 <= dgm_full_conditional_posterior(0, [1, 1], dag, 0.5, eta, obs.y[0]) < 1e-300
@@ -200,7 +200,7 @@ class TestMhDag:
         rng = np.random.default_rng(2)
         dag = rooted_dag(cycle4, 0)
         for _ in range(100):
-            dag, accepted = mh_update_dag([0, 1, 0, 1], cycle4, dag, 0.0, rng, CLASS_ROOTED)
+            dag, accepted = mh_update_dag([0, 1, 0, 1], cycle4, dag, 0.0, rng)
             assert accepted
 
     def test_rooted_stationary_distribution(self, cycle4):
@@ -215,7 +215,7 @@ class TestMhDag:
         counts = np.zeros(4)
         steps = 30000
         for _ in range(steps):
-            dag, _ = mh_update_dag(z, cycle4, dag, beta, rng, CLASS_ROOTED, rooted_cache=cache)
+            dag, _ = mh_update_dag(z, cycle4, dag, beta, rng, rooted_cache=cache)
             counts[dag.root] += 1
         tv = 0.5 * np.abs(counts / steps - target).sum()
         assert tv < 0.02
@@ -234,7 +234,7 @@ class TestMhDag:
         counts = Counter()
         steps = 30000
         for _ in range(steps):
-            dag, _ = mh_update_dag(z, triangle, dag, beta, rng, CLASS_ACYCLIC_ORIENTATION)
+            dag, _ = mh_update_dag(z, triangle, dag, beta, rng)
             counts[frozenset(dag.directed_edges())] += 1
         empirical = np.array([counts.get(k, 0) / steps for k in keys])
         tv = 0.5 * np.abs(empirical - target).sum()
@@ -257,12 +257,24 @@ class TestMhDag:
                     continue
                 rng, twin = np.random.default_rng(a), np.random.default_rng(a)
                 cache = [dags[b]] * nug.n
-                got, accepted = mh_update_dag(z, nug, dags[a], 0.4, rng, CLASS_ROOTED, cache)
+                got, accepted = mh_update_dag(z, nug, dags[a], 0.4, rng, cache)
                 twin.integers(nug.n)
                 assert got is dags[b] and accepted
                 assert rng.random() == twin.random()
                 ties += 1
         assert ties > 0
+
+    @pytest.mark.parametrize("tag", ["spanning-tree", "general"])
+    def test_other_classes_raise_before_drawing(self, tag, cycle4):
+        # the move proposes from the prior of the DAG's own class, which
+        # exists only for rooted DAGs and orientations
+        dag = (tree_dag(4, [(0, 1), (1, 2), (2, 3)], root=0) if tag == "spanning-tree"
+               else Dag([[], [0], [1], [2]]))
+        assert dag.class_tag == tag
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        with pytest.raises(ValueError, match=tag):
+            mh_update_dag([0, 1, 0, 1], cycle4, dag, 0.5, rng)
+        assert rng.random() == twin.random()
 
 
 def _grid_cdf(grid, log_density):
@@ -314,7 +326,7 @@ class TestMhBeta:
         rng = np.random.default_rng(5)
         beta = 0.19
         for _ in range(500):
-            beta, _ = mh_update_beta([0, 1, 1, 0], lattice22, dag, beta, rng, MDGM_ST,
+            beta, _ = mh_update_beta([0, 1, 1, 0], lattice22, dag, beta, rng,
                                      sd=2.0, priors=priors)
             assert 0.0 <= beta <= 0.2
 
@@ -329,7 +341,7 @@ class TestMhBeta:
         beta = 0.5
         draws = np.empty(10**5)
         for k in range(len(draws)):
-            beta, _ = mh_update_beta(z, lattice22, dag, beta, rng, MDGM_ST,
+            beta, _ = mh_update_beta(z, lattice22, dag, beta, rng,
                                      sd=0.3, priors=priors)
             draws[k] = beta
         assert _ks(draws[5000:], grid, cdf) < 0.02
@@ -346,7 +358,7 @@ class TestMhBeta:
         beta = 0.5
         draws = np.empty(6 * 10**4)
         for k in range(len(draws)):
-            beta, _ = mh_update_beta(z, lattice22, None, beta, rng, AMRF,
+            beta, _ = mh_update_beta(z, lattice22, None, beta, rng,
                                      sd=0.3, priors=priors)
             draws[k] = beta
         assert _ks(draws[5000:], grid, cdf) < 0.02
@@ -372,7 +384,7 @@ class TestMhBeta:
         for seed in range(200):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             calls.clear()
-            got, accepted = mh_update_beta(z, nug, dag, beta, rng, model, sd=0.5, priors=priors)
+            got, accepted = mh_update_beta(z, nug, dag, beta, rng, sd=0.5, priors=priors)
             proposal = twin.normal(beta, 0.5)
             if 0.0 <= proposal <= priors.beta_max:
                 assert len(calls) == 1
@@ -903,3 +915,19 @@ class TestRunChain:
         want = {str(2**k): c for k, c in enumerate(samples.cftp_horizons) if c}
         assert trailer["cftp_horizons"] == want and want
         assert sum(want.values()) <= trailer["acceptance"]["beta"][1]
+
+    def test_acceptance_rates_are_accepted_over_proposed(self, lattice22, obs22):
+        cfg = McmcConfig(iterations=60, burn_in=20, seed=3, model=MDGM_ROOTED)
+        samples = run_chain(obs22, lattice22, cfg)
+        rates = samples.acceptance_rates()
+        assert set(rates) == {"dag", "beta"}
+        for name in ("dag", "beta"):
+            accepted, proposed = samples.acceptance[name]
+            assert proposed == 60 and 0 < accepted <= proposed
+            assert rates[name] == accepted / proposed
+        # with beta held fixed no beta move is proposed, so its rate is undefined
+        frozen = run_chain(obs22, lattice22, McmcConfig(
+            iterations=60, burn_in=20, seed=3, model=MDGM_ROOTED, update_beta=False))
+        rates = frozen.acceptance_rates()
+        assert frozen.acceptance["beta"] == (0, 0) and math.isnan(rates["beta"])
+        assert rates["dag"] == frozen.acceptance["dag"][0] / 60

@@ -18,6 +18,7 @@ PINNED = [
     "exact-mrf 88067973fe9b2bcb",
     "cftp ffa081d688406592",
     "graph eb959e0b21918e2e",
+    "trees de78361f1ae1e881",
 ]
 
 

@@ -26,6 +26,14 @@ Nug(n, list(edges), dict(weights)), and skeleton(rooted_dag(nug, 0)). Each
 graph contributes n, edges, the weights items and neighbor_lists, and the
 dtype and bytes of edge_i, edge_j, arc_i, arc_j, degrees and
 padded_neighbors().
+
+The line `trees <digest>` covers spanning-tree draws alone. For each of
+8x8 and 16x16 second order and 32x32 first order, from a fresh
+default_rng(7), it hashes 100 uniform_spanning_tree draws, then 100
+posterior_spanning_tree draws at beta 0.9 on the field drawn by
+default_rng(0).integers(0, 2, n), then the generator's next uniform. Each
+draw contributes the dtype and bytes of edge_child and edge_parent and its
+root.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
-from dagmix.dags import rooted_dag, skeleton  # noqa: E402
+from dagmix.dags import posterior_spanning_tree, rooted_dag, skeleton, uniform_spanning_tree  # noqa: E402
 from dagmix.graph import Nug, load_nug, save_nug  # noqa: E402
 from dagmix.samplers import ALL_MODELS, EXACT_MRF, cftp_ising  # noqa: E402
 
@@ -88,8 +96,27 @@ def graph_digest():
     return h.hexdigest()[:16]
 
 
+def trees_digest():
+    """Digest of uniform and posterior spanning-tree draws and each setting's next uniform."""
+    h = hashlib.sha256()
+    for spec in (LatticeSpec(8, 8, "second"), LatticeSpec(16, 16, "second"),
+                 LatticeSpec(32, 32, "first")):
+        nug = build_lattice_nug(spec)
+        z = np.random.default_rng(0).integers(0, 2, nug.n)
+        rng = np.random.default_rng(7)
+        draws = [uniform_spanning_tree(nug, rng) for _ in range(100)]
+        draws += [posterior_spanning_tree(nug, z, 0.9, rng) for _ in range(100)]
+        for dag in draws:
+            for a in (dag.edge_child, dag.edge_parent):
+                h.update(a.dtype.str.encode() + a.tobytes())
+            h.update(repr(dag.root).encode())
+        h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
     print(f"cftp {cftp_digest()}")
     print(f"graph {graph_digest()}")
+    print(f"trees {trees_digest()}")
