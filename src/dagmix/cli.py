@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 
 from . import __version__
 from .experiments import (
@@ -33,7 +32,7 @@ from .graph import (
     load_nug,
 )
 from .model import PriorSpec, load_observations
-from .samplers import ALL_MODELS, McmcConfig, run_chain
+from .samplers import ALL_MODELS, CFTP_STEP_CAP, McmcConfig, run_chain
 
 
 class UsageError(ValueError):
@@ -106,14 +105,20 @@ def _add_graph_args(p):
     _add_lattice_args(p)
 
 
-def _add_chain_args(p):
-    p.add_argument("--iters", type=int, default=2000, help="total MCMC iterations")
-    p.add_argument("--burnin", type=int, default=1000, help="discarded iterations")
-    p.add_argument("--beta-max", type=float, default=1.0, help="upper prior bound for beta")
-    p.add_argument("--beta-sd", type=float, default=0.05, help="random-walk proposal sd")
-    p.add_argument("--cftp-cap", type=int, default=2**20,
+def _chain_parser():
+    """Flags shared by the MCMC commands; their defaults are McmcConfig's and PriorSpec's."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", default=None, help="JSON config file (flags override)")
+    p.add_argument("--iters", type=int, default=McmcConfig.iterations, help="total MCMC iterations")
+    p.add_argument("--burnin", type=int, default=McmcConfig.burn_in, help="discarded iterations")
+    p.add_argument("--beta-max", type=float, default=PriorSpec.beta_max,
+                   help="upper prior bound for beta")
+    p.add_argument("--beta-sd", type=float, default=McmcConfig.beta_proposal_sd,
+                   help="random-walk proposal sd")
+    p.add_argument("--cftp-cap", type=int, default=CFTP_STEP_CAP,
                    help="site-update cap for perfect sampling")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=McmcConfig.seed)
+    return p
 
 
 def build_parser():
@@ -124,8 +129,9 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"dagmix {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
+    chain = [_chain_parser()]  # built per parser: set_defaults writes to its shared actions
 
-    p = sub.add_parser("simulate", help="run the simulation study grid")
+    p = sub.add_parser("simulate", parents=chain, help="run the simulation study grid")
     _add_lattice_args(p)
     p.add_argument("--beta-grid", default=None, help="comma-separated true beta values")
     p.add_argument("--eta", type=float, default=None, help="noise level (eta0=eta, eta1=1-eta)")
@@ -134,21 +140,17 @@ def build_parser():
     p.add_argument("--models", default=None, help="comma-separated model list")
     p.add_argument("--threads", type=int, default=1, help="replication worker count")
     p.add_argument("--out", default=None, help="study CSV path")
-    p.add_argument("--config", default=None, help="JSON config file (flags override)")
-    _add_chain_args(p)
     subparsers["simulate"] = p
 
-    p = sub.add_parser("fit", help="fit one model to a ratings file")
+    p = sub.add_parser("fit", parents=chain, help="fit one model to a ratings file")
     _add_graph_args(p)
     p.add_argument("--data", default=None, help="ratings CSV (unit_id,value)")
     p.add_argument("--model", default=None, help=f"one of {', '.join(ALL_MODELS)}")
     p.add_argument("--idmap", default=None, help="JSON map of unit-ID strings to indices")
     p.add_argument("--out", default=None, help="JSON-lines samples path")
-    p.add_argument("--config", default=None, help="JSON config file (flags override)")
-    _add_chain_args(p)
     subparsers["fit"] = p
 
-    p = sub.add_parser("crossval", help="holdout cross-validation over models")
+    p = sub.add_parser("crossval", parents=chain, help="holdout cross-validation over models")
     _add_graph_args(p)
     p.add_argument("--data", default=None)
     p.add_argument("--models", default=None, help="comma-separated model list")
@@ -156,8 +158,6 @@ def build_parser():
     p.add_argument("--holdout", type=int, default=None, help="rated units withheld per iteration")
     p.add_argument("--iterations", type=int, default=None, help="cross-validation iterations")
     p.add_argument("--out", default=None, help="CSV path (iteration,model,mae)")
-    p.add_argument("--config", default=None, help="JSON config file (flags override)")
-    _add_chain_args(p)
     subparsers["crossval"] = p
 
     p = sub.add_parser("count", help="exact combinatorial counts for a graph")
@@ -185,8 +185,8 @@ def _resolve_nug(args) -> Nug:
         return load_nug(args.graph)
     if args.rows is None or args.cols is None:
         raise UsageError("give --graph, or both --rows and --cols")
-    order = args.order if args.order is not None else "first"
-    return build_lattice_nug(LatticeSpec(rows=args.rows, cols=args.cols, order=order))
+    return build_lattice_nug(
+        LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order))
 
 
 def _parse_models(spec: str):
@@ -221,12 +221,13 @@ def _parse_beta_grid(spec: str):
     return grid
 
 
-def _chain_template(args) -> McmcConfig:
+def _chain_template(args, model=McmcConfig.model) -> McmcConfig:
     try:
         return McmcConfig(
             iterations=args.iters,
             burn_in=args.burnin,
             seed=args.seed,
+            model=model,
             beta_proposal_sd=args.beta_sd,
             priors=PriorSpec(beta_max=args.beta_max),
             cftp_step_cap=args.cftp_cap,
@@ -250,8 +251,7 @@ def _write_manifest(out_path, args):
 
 def cmd_simulate(args) -> int:
     _require(args, "rows", "cols", "beta-grid", "eta", "obs", "reps", "models", "out")
-    order = args.order if args.order is not None else "first"
-    lattice = LatticeSpec(rows=args.rows, cols=args.cols, order=order)
+    lattice = LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order)
     models = _parse_models(args.models)
     obs_scheme = _parse_obs(args.obs)
     template = _chain_template(args)
@@ -298,11 +298,9 @@ def _load_data(args, nug: Nug):
 
 def cmd_fit(args) -> int:
     _require(args, "data", "model", "out")
-    if args.model not in ALL_MODELS:
-        raise UsageError(f"unknown model {args.model!r}")
+    config = _chain_template(args, model=args.model)
     nug = _resolve_nug(args)
     obs, idmap = _load_data(args, nug)
-    config = replace(_chain_template(args), model=args.model)
     samples = run_chain(obs, nug, config)
     with _output_file(args.out) as fh:
         samples.to_jsonl(fh)
@@ -351,51 +349,36 @@ _HANDLERS = {
 }
 
 
-def _apply_config_file(subparsers, argv):
-    """Pre-parse --config PATH or --config=PATH and install its values as
-    subcommand defaults.
+def _apply_config_file(subparsers, args):
+    """Install the values of the file at args.config as its subcommand's defaults.
 
     Each value must be a JSON string or number, and is installed as text, so
     that the flag's type checks it as it would on the command line.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if not argv or argv[0] not in subparsers:
-        return argv
-    command = argv[0]
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        path = pre.parse_known_args(argv[1:])[0].config
-    except argparse.ArgumentError:  # the full parser reports it as a usage error
-        return argv
-    if path is None:
-        return argv
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object")
-    sp = subparsers[command]
-    valid = {a.dest for a in sp._actions}
+    valid = set(vars(args)) - {"command"}
     defaults = {}
     for key, value in raw.items():
         dest = key.replace("-", "_")
         if dest not in valid:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
+            raise UsageError(f"unknown config key {key!r} for command {args.command!r}")
         if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise UsageError(f"config key {key!r} must be a string or a number, got {json.dumps(value)}")
         defaults[dest] = str(value)
-    sp.set_defaults(**defaults)
-    return argv
+    subparsers[args.command].set_defaults(**defaults)
 
 
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
-        argv = _apply_config_file(subparsers, argv)
         try:
             args = parser.parse_args(argv)
+            if getattr(args, "config", None) is not None:
+                _apply_config_file(subparsers, args)
+                args = parser.parse_args(argv)  # explicit flags override the file
         except SystemExit as exc:
             return int(exc.code or 0)
         return _HANDLERS[args.command](args)

@@ -107,13 +107,13 @@ class Dag:
             raise ValueError("directed cycle detected")
 
     def _check_class(self):
-        orphans = [v for v in range(self.n) if not self.parents[v]]
+        orphans = np.flatnonzero(self.in_degree == 0).tolist()
         if self.class_tag == CLASS_SPANNING_TREE:
             if self.root is None or orphans != [self.root]:
                 raise ValueError("spanning tree must have exactly one orphan, the root")
             # With acyclicity, one parent per non-root vertex means every
             # parent path ends at the root: the skeleton is a spanning tree.
-            if any(len(self.parents[v]) != 1 for v in range(self.n) if v != self.root):
+            if self.in_degree.max() > 1:
                 raise ValueError("spanning tree vertices must have exactly one parent")
         elif self.class_tag == CLASS_ROOTED:
             if self.root is None or orphans != [self.root]:
@@ -334,9 +334,12 @@ def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
     walk = uniform_spanning_tree(_trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti)), rng)
     ties = np.bincount(np.concatenate((walk.edge_child, walk.edge_parent)), minlength=n + c + len(mi))
     inner = (walk.edge_child < n) & (walk.edge_parent < n)
-    edges = np.concatenate((np.column_stack((walk.edge_child, walk.edge_parent))[inner],
-                            np.column_stack((mi, mj))[ties[n + c:] == 2]))
-    return tree_dag(n, edges.tolist(), int(rng.integers(n)))
+    joins = ties[n + c:] == 2
+    a = np.concatenate((walk.edge_child[inner], mi[joins]))
+    b = np.concatenate((walk.edge_parent[inner], mj[joins]))
+    tree = _trusted_nug(n, np.minimum(a, b), np.maximum(a, b), np.ones_like(a))
+    root = int(rng.integers(n))
+    return _orient_by_label(tree, _path_costs(tree, root), CLASS_SPANNING_TREE, root)
 
 
 def markov_blanket(dag: Dag, i: int) -> set:

@@ -92,6 +92,8 @@ class SimConfig:
     priors_by_model: tuple = ()
 
     def __post_init__(self):
+        if not 0.0 <= self.beta_true < math.inf:
+            raise ValueError("beta_true must be nonnegative and finite")
         if not (0.0 <= self.eta < 0.5):
             raise ValueError("eta must lie in [0, 0.5)")
         if self.replications < 1:
@@ -252,17 +254,14 @@ def run_simulation_study(configs, threads=1) -> list:
             raw = list(pool.map(_replicate, tasks, chunksize=1))
     else:
         raw = [_replicate(t) for t in tasks]
-    by_setting = {}
-    for setting_idx, rep_idx, metrics in raw:
-        by_setting.setdefault(setting_idx, {})[rep_idx] = metrics
-
+    metrics = {(si, ri): m for si, ri, m in raw}
     cells = []
     for si, cfg in enumerate(configs):
         lam = cfg.obs.value if cfg.obs.kind == "poisson" else None
         for model in cfg.models:
             accs, rmses, times, failures = [], [], [], []
             for ri in range(cfg.replications):
-                rec = by_setting[si][ri].get(model)
+                rec = metrics[si, ri][model]
                 if isinstance(rec, MetricsRecord):
                     accs.append(rec.posterior_mean_accuracy)
                     rmses.append(rec.posterior_rmse_T)
@@ -304,13 +303,11 @@ def study_to_csv(cells, fh):
     fh.write(STUDY_CSV_HEADER + "\n")
     for c in cells:
         lam = repr(float(c.lam)) if c.lam is not None else ""
-        acc = c.accuracy or BootstrapCI(float("nan"), float("nan"), float("nan"))
-        rmse = c.rmse_T or BootstrapCI(float("nan"), float("nan"), float("nan"))
+        cis = [repr(v) for ci in (c.accuracy, c.rmse_T)
+               for v in ((ci.point, ci.lo, ci.hi) if ci else (math.nan,) * 3)]
         fh.write(",".join([
             c.setting_id, c.model, repr(float(c.beta_true)), repr(float(c.eta)), lam,
-            repr(acc.point), repr(acc.lo), repr(acc.hi),
-            repr(rmse.point), repr(rmse.lo), repr(rmse.hi),
-            repr(round(c.elapsed_s, 3)),
+            *cis, repr(round(c.elapsed_s, 3)),
         ]) + "\n")
 
 

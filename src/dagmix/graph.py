@@ -54,14 +54,13 @@ class Nug:
     weights and neighbor_lists are Python-int views of these arrays.
     Nug(n, edges, weights) checks outside input; the library's builders skip
     the checks. Instances are safe to share across chains; all further
-    derived structure (adjacency, coloring, padded neighbors, heat-bath
-    layouts, connectivity) is cached lazily.
+    derived structure (coloring, padded neighbors, heat-bath layouts,
+    connectivity) is cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
                  "arc_i", "arc_j", "degrees",
-                 "_adjacency", "_color_classes", "_padded_neighbors", "_class_layouts",
-                 "_connected")
+                 "_color_classes", "_padded_neighbors", "_class_layouts", "_connected")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -101,7 +100,7 @@ class Nug:
         self.edges = tuple(zip(i.tolist(), j.tolist()))
         self.weights = dict(zip(self.edges, w[order].tolist()))
         self.neighbor_lists = _split(self.arc_j.tolist(), self.degrees)
-        self._adjacency = self._color_classes = self._padded_neighbors = None
+        self._color_classes = self._padded_neighbors = None
         self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
 
@@ -117,12 +116,9 @@ class Nug:
 
     def adjacency_matrix(self):
         """Symmetric 0/1 association matrix A(N) with zero diagonal."""
-        if self._adjacency is None:
-            a = np.zeros((self.n, self.n), dtype=np.int64)
-            a[self.edge_i, self.edge_j] = 1
-            a[self.edge_j, self.edge_i] = 1
-            self._adjacency = a
-        return self._adjacency.copy()
+        a = np.zeros((self.n, self.n), dtype=np.int64)
+        a[self.arc_i, self.arc_j] = 1
+        return a
 
     def color_classes(self):
         """Greedy partition into independent vertex sets (ascending index).

@@ -131,10 +131,10 @@ class PriorSpec:
 
     def __post_init__(self):
         for a, b in (self.eta0_beta_params, self.eta1_beta_params):
-            if a <= 0 or b <= 0:
-                raise ValueError("Beta shape parameters must be positive")
-        if self.beta_max <= 0:
-            raise ValueError("beta_max must be positive")
+            if not (0 < a < math.inf and 0 < b < math.inf):
+                raise ValueError("Beta shape parameters must be positive and finite")
+        if not 0 < self.beta_max < math.inf:
+            raise ValueError("beta_max must be positive and finite")
 
 
 def _as_ints(z):

@@ -56,6 +56,9 @@ ALL_MODELS = (MDGM_ST, MDGM_ROOTED, MDGM_AO, AMRF, EXACT_MRF)
 MDGM_MODELS = (MDGM_ST, MDGM_ROOTED, MDGM_AO)
 
 
+CFTP_STEP_CAP = 2**20  # default site-update cap for one perfect draw
+
+
 class CoalescenceError(RuntimeError):
     """Perfect sampling hit the update cap before the chains coalesced."""
 
@@ -82,7 +85,7 @@ class McmcConfig:
     beta_proposal_sd: float = 0.05
     priors: PriorSpec = field(default_factory=PriorSpec)
     init: Init = field(default_factory=Init)
-    cftp_step_cap: int = 2**20
+    cftp_step_cap: int = CFTP_STEP_CAP
     update_beta: bool = True
     update_eta: bool = True
 
@@ -91,8 +94,8 @@ class McmcConfig:
             raise ValueError(f"unknown model {self.model!r}; expected one of {ALL_MODELS}")
         if not (0 <= self.burn_in < self.iterations):
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.beta_proposal_sd <= 0:
-            raise ValueError("beta_proposal_sd must be positive")
+        if not 0 < self.beta_proposal_sd < math.inf:
+            raise ValueError("beta_proposal_sd must be positive and finite")
         if self.cftp_step_cap <= 0:
             raise ValueError("cftp_step_cap must be positive")
 
@@ -294,7 +297,7 @@ def mh_update_beta(z, nug: Nug, dag, beta, rng, sd, priors: PriorSpec):
 
 
 def exchange_update_beta_mrf(z, nug: Nug, beta, rng, sd, priors: PriorSpec,
-                             step_cap=2**20, horizons=None):
+                             step_cap=CFTP_STEP_CAP, horizons=None):
     """Exchange-algorithm beta move for the exact MRF.
 
     Draws an auxiliary perfect sample z* at the proposed beta; the
@@ -349,7 +352,7 @@ class HorizonHistogram:
             self.recent = [c >> 1 for c in self.recent]
 
 
-def cftp_ising(nug: Nug, beta, rng, step_cap=2**20, validate=False, horizons=None):
+def cftp_ising(nug: Nug, beta, rng, step_cap=CFTP_STEP_CAP, validate=False, horizons=None):
     """Perfect draw from p(z) ~ exp(beta * T(z)) by coupling from the past.
 
     Monotone sandwich of the all-zeros and all-ones chains under shared

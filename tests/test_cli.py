@@ -123,6 +123,20 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_every_cell_failed_still_writes_the_csv(self, tmp_path, capsys):
+        # a one-update CFTP cap stalls every dataset draw
+        code, out = self.run_small(tmp_path, extra=("--models", "mdgm-st,amrf", "--cftp-cap", "1"))
+        assert code == 1
+        assert "every cell failed" in capsys.readouterr().err
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [r[1] for r in rows] == ["mdgm-st", "amrf"]
+        assert all(v == "nan" for r in rows for v in r[5:])
+
+    def test_negative_true_beta_is_usage_error(self, tmp_path):
+        code, out = self.run_small(tmp_path, extra=("--beta-grid", "0.1,-0.1"))
+        assert code == 2
+        assert not out.exists()
+
 
 class TestFit:
     def setup_inputs(self, tmp_path):
@@ -173,6 +187,19 @@ class TestFit:
             "--burnin", "40", "--seed", "4", "--out", str(out),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta-sd", "nan"), ("--beta-sd", "inf"), ("--beta-max", "inf"), ("--beta-max", "nan"),
+    ])
+    def test_non_finite_chain_setting_is_usage_error(self, tmp_path, flag, value):
+        data = self.setup_inputs(tmp_path)
+        out = tmp_path / "fit.jsonl"
+        code = main([
+            "fit", "--rows", "3", "--cols", "3", "--data", str(data), "--model", "amrf",
+            "--iters", "20", "--burnin", "10", flag, value, "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
     def test_side_outputs(self, tmp_path):
         data = self.setup_inputs(tmp_path)

@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dagmix import (
     run_simulation_study,
     suff_stat_T,
 )
+from dagmix import experiments
 from dagmix.experiments import (
     CrossValRecord,
     IntractableError,
@@ -128,6 +130,11 @@ class TestGenerateDataset:
             ObsScheme("poisson", 0.0)
         with pytest.raises(ValueError):
             ObsScheme("weekly", 2)
+
+    @pytest.mark.parametrize("beta", [-0.1, math.nan, math.inf])
+    def test_beta_true_must_be_nonnegative_and_finite(self, beta):
+        with pytest.raises(ValueError, match="beta_true"):
+            replace(small_sim_config(), beta_true=beta)
 
 
 class TestMetrics:
@@ -244,6 +251,22 @@ class TestSimulationStudy:
         cells = run_simulation_study([cfg, small_sim_config(reps=1)])
         assert any(c.failures for c in cells if c.setting_id == "s0")
         assert all(not c.failures for c in cells if c.setting_id == "s1")
+
+    def test_csv_keeps_finished_cells_when_a_cell_fails(self, monkeypatch):
+        def run_chain(obs, nug, config):
+            if config.model == AMRF:
+                raise RuntimeError("chain failed")
+            return real_run_chain(obs, nug, config)
+
+        real_run_chain = experiments.run_chain
+        monkeypatch.setattr(experiments, "run_chain", run_chain)
+        cells = run_simulation_study([small_sim_config()])
+        buf = io.StringIO()
+        study_to_csv(cells, buf)
+        rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
+        assert [r[1] for r in rows] == [MDGM_ST, AMRF]
+        assert all(not math.isnan(float(v)) for v in rows[0][5:11])
+        assert all(math.isnan(float(v)) for v in rows[1][5:12])
 
 
 class TestCrossValidation:

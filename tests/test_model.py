@@ -144,6 +144,20 @@ class TestNoiseParams:
             NoiseParams(0.0, 0.8)
 
 
+class TestPriorSpec:
+    @pytest.mark.parametrize("beta_max", [0.0, math.nan, math.inf])
+    def test_beta_max_must_be_positive_and_finite(self, beta_max):
+        with pytest.raises(ValueError, match="beta_max"):
+            PriorSpec(beta_max=beta_max)
+
+    @pytest.mark.parametrize("shapes", [
+        {"eta0_beta_params": (math.nan, 1.0)}, {"eta1_beta_params": (1.0, math.nan)},
+    ])
+    def test_nan_beta_shapes_rejected(self, shapes):
+        with pytest.raises(ValueError, match="shape"):
+            PriorSpec(**shapes)
+
+
 class TestLogLikelihood:
     def test_no_ratings_is_zero(self):
         obs = quiet_obs([[], [], []])

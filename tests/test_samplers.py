@@ -136,8 +136,7 @@ class TestGibbsZ:
                     assert swept.tolist() == by_hand.tolist()
                     z = swept
 
-    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
-    def test_mrf_sweep_rejects_negative_beta(self, model, lattice22, obs22):
+    def test_mrf_sweep_rejects_negative_beta(self, lattice22, obs22):
         z = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError, match="nonnegative"):
             gibbs_update_z(z, lattice22, None, -0.1, NoiseParams(0.2, 0.8), obs22,
@@ -887,6 +886,11 @@ class TestRunChain:
             McmcConfig(model="nope")
         with pytest.raises(ValueError):
             McmcConfig(beta_proposal_sd=0.0)
+
+    @pytest.mark.parametrize("sd", [math.nan, math.inf])
+    def test_non_finite_proposal_sd_rejected(self, sd):
+        with pytest.raises(ValueError, match="beta_proposal_sd"):
+            McmcConfig(beta_proposal_sd=sd)
 
     def test_jsonl_stream(self, lattice22, obs22):
         cfg = McmcConfig(iterations=25, burn_in=20, seed=5, model=MDGM_ST)

@@ -19,6 +19,7 @@ PINNED = [
     "cftp ffa081d688406592",
     "graph eb959e0b21918e2e",
     "trees de78361f1ae1e881",
+    "limit 3114455c80aae38d",
 ]
 
 

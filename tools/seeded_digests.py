@@ -34,6 +34,13 @@ posterior_spanning_tree draws at beta 0.9 on the field drawn by
 default_rng(0).integers(0, 2, n), then the generator's next uniform. Each
 draw contributes the dtype and bytes of edge_child and edge_parent and its
 root.
+
+The line `limit <digest>` covers the beta > 700 tree draw alone. For each
+of 8x8 second and 16x16 first order, from a fresh default_rng(7), it
+hashes 50 posterior_spanning_tree draws at beta 800 on the field drawn by
+default_rng(0).integers(0, 2, n), then the generator's next uniform. Each
+draw contributes the dtype and bytes of edge_child and edge_parent, its
+root and its class tag.
 """
 
 from __future__ import annotations
@@ -114,9 +121,26 @@ def trees_digest():
     return h.hexdigest()[:16]
 
 
+def limit_digest():
+    """Digest of posterior tree draws past beta 700 and each setting's next uniform."""
+    h = hashlib.sha256()
+    for spec in (LatticeSpec(8, 8, "second"), LatticeSpec(16, 16, "first")):
+        nug = build_lattice_nug(spec)
+        z = np.random.default_rng(0).integers(0, 2, nug.n)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            dag = posterior_spanning_tree(nug, z, 800.0, rng)
+            for a in (dag.edge_child, dag.edge_parent):
+                h.update(a.dtype.str.encode() + a.tobytes())
+            h.update(repr((dag.root, dag.class_tag)).encode())
+        h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
     print(f"cftp {cftp_digest()}")
     print(f"graph {graph_digest()}")
     print(f"trees {trees_digest()}")
+    print(f"limit {limit_digest()}")
