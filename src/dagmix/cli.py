@@ -185,8 +185,11 @@ def _resolve_nug(args) -> Nug:
         return load_nug(args.graph)
     if args.rows is None or args.cols is None:
         raise UsageError("give --graph, or both --rows and --cols")
-    return build_lattice_nug(
-        LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order))
+    try:
+        return build_lattice_nug(
+            LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_models(spec: str):
@@ -251,11 +254,13 @@ def _write_manifest(out_path, args):
 
 def cmd_simulate(args) -> int:
     _require(args, "rows", "cols", "beta-grid", "eta", "obs", "reps", "models", "out")
-    lattice = LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order)
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     models = _parse_models(args.models)
     obs_scheme = _parse_obs(args.obs)
     template = _chain_template(args)
     try:
+        lattice = LatticeSpec(rows=args.rows, cols=args.cols, order=args.order or LatticeSpec.order)
         configs = [
             SimConfig(
                 lattice=lattice,

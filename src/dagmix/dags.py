@@ -4,14 +4,13 @@ A DAG is compatible with a NUG when every directed edge appears as an
 undirected edge of the NUG. Three constructible classes are provided:
 
 * spanning trees (minimal connected; sampled by loop-erased random walk),
-* rooted DAGs (one per root; shortest-weighted-path orientation),
+* rooted DAGs (one per root; oriented by bucket-queue shortest path cost),
 * acyclic orientations (all NUG edges oriented by a vertex permutation).
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 
 import numpy as np
 
@@ -162,23 +161,28 @@ def _orient_by_label(nug: Nug, label, class_tag, root=None) -> Dag:
 
 
 def _path_costs(nug: Nug, root: int) -> np.ndarray:
-    """Minimum weighted path cost from the root to every vertex (Dijkstra)."""
+    """Minimum weighted path cost from the root to every vertex, as integers.
+
+    Dial's bucket queue: with weights 1 and 2, the open vertices sit in three
+    rotating buckets at costs d, d + 1 and d + 2. A vertex is final when its
+    bucket is popped; entries left behind by a later improvement are skipped.
+    """
     if not (0 <= root < nug.n):
         raise ValueError(f"root {root} out of range")
-    inf = float("inf")
-    label = [inf] * nug.n
-    label[root] = 0
-    heap = [(0, root)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > label[v]:
-            continue
-        for u in nug.neighbor_lists[v]:
-            nd = d + nug.weight(v, u)
-            if nd < label[u]:
-                label[u] = nd
-                heapq.heappush(heap, (nd, u))
-    if inf in label:
+    adj = nug.weighted_neighbors()
+    far = 2 * nug.n  # above every path cost: at most n - 1 edges of weight 2
+    label = [far] * nug.n
+    label[root] = d = 0
+    now, near, after = [root], [], []
+    while now or near:
+        for v in now:
+            if label[v] == d:
+                for u, w in adj[v]:
+                    if d + w < label[u]:
+                        label[u] = d + w
+                        (near if w == 1 else after).append(u)
+        now, near, after, d = near, after, [], d + 1
+    if far in label:
         raise DisconnectedGraphError(f"not every vertex is reachable from root {root}")
     return np.array(label)
 
@@ -186,10 +190,9 @@ def _path_costs(nug: Nug, root: int) -> np.ndarray:
 def rooted_dag(nug: Nug, root: int) -> Dag:
     """The unique root-oriented DAG for the given root vertex.
 
-    Vertices are labeled with the minimum weighted path cost from the root
-    (Dijkstra; ties in the queue broken by lower vertex index). Each NUG
-    edge is oriented from the lower to the higher label; equal-label edges
-    are deleted.
+    Vertices are labelled by integer minimum path cost from the root (Dial's
+    bucket-queue search); each NUG edge is oriented from the lower to the
+    higher label, and equal-label edges are deleted.
     """
     return _orient_by_label(nug, _path_costs(nug, root), CLASS_ROOTED, root)
 

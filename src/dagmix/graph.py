@@ -49,18 +49,18 @@ class Nug:
 
     Edges are unordered pairs stored once as (i, j) with i < j; edge_i and
     edge_j hold their endpoints as index arrays. Neighbor lists are sorted,
-    and arc_i, arc_j list every neighbor pair in both directions in the same
-    order (CSR: arc_i ascending, degrees[i] entries per vertex); edges,
-    weights and neighbor_lists are Python-int views of these arrays.
+    and arc_i, arc_j, arc_w list every neighbor pair in both directions in
+    the same order with its weight (CSR: arc_i ascending, degrees[i] entries
+    per vertex); edges, weights and neighbor_lists are Python-int views.
     Nug(n, edges, weights) checks outside input; the library's builders skip
     the checks. Instances are safe to share across chains; all further
-    derived structure (coloring, padded neighbors, heat-bath layouts,
-    connectivity) is cached lazily.
+    derived structure (coloring, padded and weighted neighbors, heat-bath
+    layouts, connectivity) is cached lazily.
     """
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
-                 "arc_i", "arc_j", "degrees",
-                 "_color_classes", "_padded_neighbors", "_class_layouts", "_connected")
+                 "arc_i", "arc_j", "arc_w", "degrees", "_color_classes", "_padded_neighbors",
+                 "_weighted_neighbors", "_class_layouts", "_connected")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -90,17 +90,17 @@ class Nug:
     def _set_arrays(self, n, i, j, w):
         """Fill every form from edge arrays with i < j on each edge, in any order."""
         order = np.lexsort((j, i))
-        i, j = i[order], j[order]
+        i, j, w = i[order], j[order], w[order]
         tail, head = np.concatenate((i, j)), np.concatenate((j, i))
         arcs = np.lexsort((head, tail))
         self.n = n
         self.edge_i, self.edge_j = i, j
-        self.arc_i, self.arc_j = tail[arcs], head[arcs]
+        self.arc_i, self.arc_j, self.arc_w = tail[arcs], head[arcs], np.concatenate((w, w))[arcs]
         self.degrees = np.bincount(self.arc_i, minlength=n)
         self.edges = tuple(zip(i.tolist(), j.tolist()))
-        self.weights = dict(zip(self.edges, w[order].tolist()))
+        self.weights = dict(zip(self.edges, w.tolist()))
         self.neighbor_lists = _split(self.arc_j.tolist(), self.degrees)
-        self._color_classes = self._padded_neighbors = None
+        self._color_classes = self._padded_neighbors = self._weighted_neighbors = None
         self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
 
@@ -150,6 +150,13 @@ class Nug:
             mat[self.arc_i, np.arange(len(self.arc_i)) - starts[self.arc_i]] = self.arc_j
             self._padded_neighbors = mat
         return self._padded_neighbors
+
+    def weighted_neighbors(self):
+        """weighted_neighbors()[i]: i's (neighbor, edge weight) pairs of Python ints, ascending."""
+        if self._weighted_neighbors is None:
+            pairs = list(zip(self.arc_j.tolist(), self.arc_w.tolist()))
+            self._weighted_neighbors = _split(pairs, self.degrees)
+        return self._weighted_neighbors
 
     def class_layout(self, copies):
         """Positions for a class-by-class heat-bath pass over stacked copies of the field.

@@ -48,6 +48,10 @@ class TestCount:
         assert main(["count", "--graph", str(g), "--rows", "2", "--cols", "2",
                      "--what", "trees"]) == 2
 
+    def test_empty_lattice_is_usage_error(self, capsys):
+        assert main(["count", "--rows", "0", "--cols", "3", "--what", "trees"]) == 2
+        assert "at least one row and one column" in capsys.readouterr().err
+
     def test_disconnected_graph_fails(self, tmp_path, capsys):
         g = tmp_path / "g.csv"
         g.write_text("0,1\n2,3\n")
@@ -138,6 +142,20 @@ class TestSimulate:
         assert not out.exists()
 
 
+    def test_empty_lattice_is_usage_error(self, tmp_path, capsys):
+        code, out = self.run_small(tmp_path, extra=("--rows", "0"))
+        assert code == 2
+        assert "at least one row and one column" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        code, out = self.run_small(tmp_path, extra=("--threads", threads))
+        assert code == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFit:
     def setup_inputs(self, tmp_path):
         ratings = [(i, v) for i in range(9) for v in ([1, 1] if i % 3 == 0 else [0, 1])]
@@ -199,6 +217,15 @@ class TestFit:
             "--iters", "20", "--burnin", "10", flag, value, "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    def test_empty_lattice_is_usage_error(self, tmp_path, capsys):
+        data = self.setup_inputs(tmp_path)
+        out = tmp_path / "fit.jsonl"
+        code = main(["fit", "--rows", "3", "--cols", "0", "--data", str(data),
+                     "--model", "amrf", "--out", str(out)])
+        assert code == 2
+        assert "at least one row and one column" in capsys.readouterr().err
         assert not out.exists()
 
     def test_side_outputs(self, tmp_path):
@@ -332,6 +359,15 @@ class TestCrossval:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "iteration,model,mae"
         assert len(lines) == 3
+
+    def test_empty_lattice_is_usage_error(self, tmp_path, capsys):
+        data = write_ratings(tmp_path / "y.csv", [(0, 1), (1, 0)])
+        out = tmp_path / "cv.csv"
+        code = main(["crossval", "--rows", "-1", "--cols", "2", "--data", str(data),
+                     "--models", "amrf", "--holdout", "1", "--iterations", "1", "--out", str(out)])
+        assert code == 2
+        assert "at least one row and one column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_holdout_exceeds_rated_units(self, tmp_path, capsys):
         data = write_ratings(tmp_path / "y.csv", [(0, 1), (1, 0)])

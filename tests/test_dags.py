@@ -23,7 +23,7 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
-from dagmix.dags import CLASS_ROOTED, CLASS_SPANNING_TREE, _wilson_tree
+from dagmix.dags import CLASS_ROOTED, CLASS_SPANNING_TREE, _orient_by_label, _path_costs, _wilson_tree
 from conftest import brute_force_spanning_trees, random_connected_nug, skeleton_key
 
 
@@ -137,6 +137,66 @@ class TestRootedDag:
     def test_disconnected_raises(self):
         with pytest.raises(DisconnectedGraphError):
             rooted_dag(Nug(3, [(0, 1)]), 0)
+
+
+def _floyd_warshall(nug):
+    """All-pairs minimum path costs by Floyd-Warshall on the dense weight matrix."""
+    cost = np.full((nug.n, nug.n), np.inf)
+    np.fill_diagonal(cost, 0.0)
+    for (i, j), w in nug.weights.items():
+        cost[i, j] = cost[j, i] = w
+    for k in range(nug.n):
+        cost = np.minimum(cost, cost[:, k, None] + cost[None, k, :])
+    assert np.isfinite(cost).all()
+    return cost.astype(np.int64)
+
+
+def _path_cost_graph(case):
+    """A lattice, or the random connected graph of a seed with weights drawn from {1, 2}."""
+    if isinstance(case, LatticeSpec):
+        return build_lattice_nug(case)
+    rng = np.random.default_rng(case)
+    base = random_connected_nug(rng, int(rng.integers(2, 31)), int(rng.integers(0, 25)))
+    return Nug(base.n, base.edges, {e: int(w) for e, w in zip(base.edges, rng.integers(1, 3, len(base.edges)))})
+
+
+_PATH_COST_CASES = (
+    [pytest.param(LatticeSpec(r, c, order), id=f"{r}x{c}-{order}")
+     for r in range(1, 7) for c in range(1, 7) for order in ("first", "second")]
+    + [pytest.param(LatticeSpec(16, 16, "second"), id="16x16-second")]
+    + [pytest.param(seed, id=f"random-{seed}") for seed in range(20)]
+)
+
+
+class TestPathCosts:
+    """The bucket search against Floyd-Warshall, from every root."""
+
+    @pytest.mark.parametrize("case", _PATH_COST_CASES)
+    def test_matches_floyd_warshall_from_every_root(self, case):
+        nug = _path_cost_graph(case)
+        ref = _floyd_warshall(nug)
+        for root in range(nug.n):
+            label = _path_costs(nug, root)
+            assert label.dtype == np.int64 and np.array_equal(label, ref[root])
+            dag = rooted_dag(nug, root)
+            want = _orient_by_label(nug, ref[root], CLASS_ROOTED, root)
+            assert np.array_equal(dag.edge_child, want.edge_child)
+            assert np.array_equal(dag.edge_parent, want.edge_parent)
+            assert dag.root == root and dag.class_tag == CLASS_ROOTED
+
+    def test_random_cases_use_both_weights(self):
+        weights = [w for seed in range(20) for w in _path_cost_graph(seed).weights.values()]
+        assert set(weights) == {1, 2}
+
+    @pytest.mark.parametrize("root", [-1, 3, 7])
+    def test_out_of_range_root(self, path3, root):
+        with pytest.raises(ValueError, match=f"^root {root} out of range$"):
+            _path_costs(path3, root)
+
+    def test_unreachable_vertex(self):
+        nug = Nug(4, [(0, 1), (2, 3)], {(2, 3): 2})
+        with pytest.raises(DisconnectedGraphError, match="^not every vertex is reachable from root 2$"):
+            _path_costs(nug, 2)
 
 
 class TestAcyclicOrientation:

@@ -83,10 +83,13 @@ def assert_same_graph(got, want):
     assert got.neighbor_lists == want.neighbor_lists
     assert all(type(v) is int for e in got.edges for v in e)
     assert all(type(v) is int for nb in got.neighbor_lists for v in nb)
-    for name in ("edge_i", "edge_j", "arc_i", "arc_j", "degrees"):
+    for name in ("edge_i", "edge_j", "arc_i", "arc_j", "arc_w", "degrees"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype == np.intp and np.array_equal(a, b), name
     assert np.array_equal(got.padded_neighbors(), want.padded_neighbors())
+    assert got.weighted_neighbors() == tuple(
+        tuple((u, want.weight(v, u)) for u in nb) for v, nb in enumerate(want.neighbor_lists))
+    assert all(type(x) is int for nb in got.weighted_neighbors() for pair in nb for x in pair)
 
 
 class TestNugInvariants:

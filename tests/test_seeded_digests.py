@@ -20,6 +20,7 @@ PINNED = [
     "graph eb959e0b21918e2e",
     "trees de78361f1ae1e881",
     "limit 3114455c80aae38d",
+    "rooted 9d7030ce7e8210d7",
 ]
 
 

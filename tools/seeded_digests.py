@@ -41,6 +41,11 @@ hashes 50 posterior_spanning_tree draws at beta 800 on the field drawn by
 default_rng(0).integers(0, 2, n), then the generator's next uniform. Each
 draw contributes the dtype and bytes of edge_child and edge_parent, its
 root and its class tag.
+
+The line `rooted <digest>` covers rooted-DAG construction alone. For each
+of 8x8 and 16x16 second order and 32x32 first order it hashes
+rooted_dag(nug, r) for every root r in ascending order. Each DAG
+contributes the dtype and bytes of edge_child and edge_parent and its root.
 """
 
 from __future__ import annotations
@@ -137,6 +142,20 @@ def limit_digest():
     return h.hexdigest()[:16]
 
 
+def rooted_digest():
+    """Digest of the rooted DAG of every root."""
+    h = hashlib.sha256()
+    for spec in (LatticeSpec(8, 8, "second"), LatticeSpec(16, 16, "second"),
+                 LatticeSpec(32, 32, "first")):
+        nug = build_lattice_nug(spec)
+        for root in range(nug.n):
+            dag = rooted_dag(nug, root)
+            for a in (dag.edge_child, dag.edge_parent):
+                h.update(a.dtype.str.encode() + a.tobytes())
+            h.update(repr(dag.root).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
@@ -144,3 +163,4 @@ if __name__ == "__main__":
     print(f"graph {graph_digest()}")
     print(f"trees {trees_digest()}")
     print(f"limit {limit_digest()}")
+    print(f"rooted {rooted_digest()}")
