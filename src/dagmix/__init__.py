@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .dags import (
     Dag,
+    WalkCapError,
     acyclic_orientation,
     dag_from_csv,
     dag_to_csv,

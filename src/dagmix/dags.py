@@ -187,6 +187,23 @@ def _path_costs(nug: Nug, root: int) -> np.ndarray:
     return np.array(label)
 
 
+def central_vertex(nug: Nug) -> int:
+    """A vertex near the middle of a connected graph, cached on the Nug.
+
+    Four _path_costs passes start from far-apart ends: the vertex farthest
+    from vertex 0, then each time the one farthest from its nearest end so
+    far (ties: largest total distance). The vertex with the smallest sum of
+    squared costs to the ends wins, the lowest index on ties.
+    """
+    if nug._centre is None:
+        far, ends = _path_costs(nug, 0), []
+        for _ in range(4):
+            ends.append(_path_costs(nug, int(np.argmax(far))))
+            far = np.min(ends, axis=0) * 8 * nug.n + np.sum(ends, axis=0)
+        nug._centre = int(np.argmin(np.square(ends).sum(axis=0)))
+    return nug._centre
+
+
 def rooted_dag(nug: Nug, root: int) -> Dag:
     """The unique root-oriented DAG for the given root vertex.
 
@@ -215,62 +232,64 @@ def tree_dag(n: int, tree_edges, root: int) -> Dag:
     return _orient_by_label(tree, _path_costs(tree, root), CLASS_SPANNING_TREE, root)
 
 
-def _uniforms(rng, size):
-    """Uniforms drawn in blocks of size; cuts per-draw RNG overhead in walk loops.
+# Walk steps per vertex that one tree draw may take. At beta <= 1 the longest
+# of 1000 draws on each reference lattice took 26 per vertex (32x32 first order).
+WALK_STEP_CAP = 4096
+
+
+class WalkCapError(RuntimeError):
+    """A spanning-tree draw took WALK_STEP_CAP walk steps per vertex without finishing."""
+
+
+def _uniforms(rng, size, blocks):
+    """Uniforms in at most the given number of blocks of size, then WalkCapError.
 
     A memoryview yields each one as a Python float, converted only when
     the walk reaches it: float arithmetic is faster than on numpy scalars,
     and a short walk pays nothing for the rest of its block.
     """
-    while True:
+    for _ in range(blocks):
         yield from memoryview(rng.random(size))
+    raise WalkCapError(f"the tree draw took more than {blocks * size} walk steps")
 
 
 def _wilson_tree(nug: Nug, rng, cum) -> Dag:
-    """Loop-erased random-walk spanning tree draw.
+    """Loop-erased random-walk spanning tree draw on a connected NUG (Wilson, 1996).
 
-    cum[v] lists the cumulative edge weights over v's neighbors (row v of
-    nug.padded_neighbors(), padding weighted 0, so cum[v][-1] is the total):
-    the walk moves from v to neighbor u with probability proportional to the
-    weight of (v, u), and the skeleton probability is proportional to the
-    product of its edge weights. At unit weights the walk is simple and the
-    skeleton is uniform over all spanning trees. The
-    root is uniform and edges point away from it; following the walk's
-    successor pointers, each vertex's parent is its neighbor on the path
-    toward the root. Unvisited vertices are processed in ascending index
-    order, which does not affect the output distribution.
+    cum[v] lists the cumulative edge weights over v's neighbors divided by
+    their total (row v of nug.padded_neighbors(), padding weighted 0, so
+    cum[v][-1] is 1): the walk moves from v to neighbor u with probability
+    proportional to the weight of (v, u), and the skeleton probability is
+    proportional to the product of its edge weights, uniform at unit
+    weights. That law does not depend on the root, so every walk ends at
+    central_vertex(nug), where walks are shortest, and edges point away
+    from it: a vertex's parent is its successor on its loop-erased path.
+    Unvisited vertices start walks in ascending index order, which does not
+    affect the output distribution. Uniforms come in blocks of 4n, near
+    what a draw uses; past WALK_STEP_CAP steps per vertex it raises WalkCapError.
     """
     n = nug.n
-    if not is_connected(nug):
-        raise DisconnectedGraphError("spanning tree sampling requires a connected NUG")
-    uniform = _uniforms(rng, min(65536, max(1024, 16 * n))).__next__
-    root = int(uniform() * n)
-    nbrs = nug.neighbor_lists
-    parent = [-1] * n
+    root = central_vertex(nug)
+    uniform = _uniforms(rng, 4 * n, WALK_STEP_CAP // 4).__next__
+    nbrs, step = nug.neighbor_lists, bisect.bisect_right
+    nxt = [-1] * n
     in_tree = bytearray(n)
     in_tree[root] = 1
-    nxt = [0] * n
     for start in range(n):
-        if in_tree[start]:
-            continue
         v = start
         while not in_tree[v]:
-            row = cum[v]
-            u = nbrs[v][bisect.bisect_right(row, uniform() * row[-1])]
-            nxt[v] = u
-            v = u
+            nxt[v] = v = nbrs[v][step(cum[v], uniform())]
         v = start
         while not in_tree[v]:
             in_tree[v] = 1
-            parent[v] = nxt[v]
             v = nxt[v]
-    parent = np.array(parent, dtype=np.intp)
+    parent = np.array(nxt, dtype=np.intp)  # the root's entry stays -1
     child = np.flatnonzero(parent >= 0)
     return _trusted_dag(n, child, parent[child], CLASS_SPANNING_TREE, root)
 
 
 def uniform_spanning_tree(nug: Nug, rng) -> Dag:
-    """Uniform spanning tree of the NUG, rooted uniformly at random.
+    """Uniform spanning tree of the NUG, rooted at central_vertex(nug).
 
     It is the unit-weight walk: posterior_spanning_tree at beta 0, whose
     weights e^0 and 1 are equal whatever the field.
@@ -284,20 +303,25 @@ def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
     The walk transition from v to u is proportional to the single-parent
     weight exp(beta * I(z_v = z_u)); per-vertex normalizers are the constant
     1 + e^beta, so they cancel and the skeleton targets the edge-match
-    product. The root carries no information and is uniform. Past beta =
-    700, near where e^beta overflows, a tree with one more mismatched edge
-    than the fewest possible weighs e^-700 or less against one with the
-    fewest, so the draw is _fewest_mismatch_tree's.
+    product. The root carries no information and is central_vertex(nug).
+    A walk that leaves a same-value region takes about e^beta steps, so
+    from beta of about 10 a draw can hit WALK_STEP_CAP and raise
+    WalkCapError. Past beta = 700, near where e^beta overflows, a tree with
+    one more mismatched edge than the fewest possible weighs e^-700 or less
+    against one with the fewest, so the draw is _fewest_mismatch_tree's.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
+    if not is_connected(nug):
+        raise DisconnectedGraphError("spanning tree sampling requires a connected NUG")
     if beta > 700.0:
         return _fewest_mismatch_tree(nug, z, rng)
     nbrs = nug.padded_neighbors()
     zz = np.append(np.asarray(z), 0)  # the padding index n reads this extra slot
     weight = np.where(zz[nbrs] == zz[:-1, None], float(np.exp(beta)), 1.0)
     weight[nbrs == nug.n] = 0.0
-    return _wilson_tree(nug, rng, np.cumsum(weight, axis=1).tolist())
+    cum = np.cumsum(weight, axis=1)
+    return _wilson_tree(nug, rng, (cum / cum[:, -1:]).tolist())
 
 
 def _component_minima(n, i, j):
@@ -324,7 +348,7 @@ def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
     each component a, and a vertex per mismatched edge tied to the
     components of its two ends. That edge joins the tree when both of its
     ties are drawn, and each tree of the components arises from equally
-    many draws. The root is uniform.
+    many draws. The root is central_vertex(nug).
     """
     n, zz = nug.n, np.asarray(z)
     same = zz[nug.edge_i] == zz[nug.edge_j]
@@ -341,7 +365,7 @@ def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
     a = np.concatenate((walk.edge_child[inner], mi[joins]))
     b = np.concatenate((walk.edge_parent[inner], mj[joins]))
     tree = _trusted_nug(n, np.minimum(a, b), np.maximum(a, b), np.ones_like(a))
-    root = int(rng.integers(n))
+    root = central_vertex(nug)
     return _orient_by_label(tree, _path_costs(tree, root), CLASS_SPANNING_TREE, root)
 
 

@@ -60,7 +60,7 @@ class Nug:
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
                  "arc_i", "arc_j", "arc_w", "degrees", "_color_classes", "_padded_neighbors",
-                 "_weighted_neighbors", "_class_layouts", "_connected")
+                 "_weighted_neighbors", "_class_layouts", "_connected", "_centre")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
@@ -103,6 +103,7 @@ class Nug:
         self._color_classes = self._padded_neighbors = self._weighted_neighbors = None
         self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
+        self._centre = None  # set by dags.central_vertex
 
     def neighbors(self, i):
         return self.neighbor_lists[i]

@@ -37,7 +37,6 @@ from .model import (
     _child_tables,
     _log_site_product,
     _one_counts,
-    _prob_one,
     _site_logit,
     _unit_logliks,
     eta_full_conditional_params,
@@ -171,38 +170,35 @@ class PosteriorSamples:
 def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, rng):
     """One systematic sweep over the latent field, one uniform u_i per site.
 
-    Given a DAG (the mixture models), the sweep draws each site in ascending
-    index from its DAG-posterior full conditional, z_i = 1 when u_i <
-    P(z_i = 1 | rest). It keeps every site's count of parents at one, n1,
-    from one bincount at the start of the sweep, and when z_i flips it moves
-    n1 of each of i's children by one. The children come from
-    Dag.flat_children(), so a site costs one read per child, and
-    model._site_logit, the body of the public full conditionals, scores it.
-    With dag None (amrf and the exact MRF) the sweep uses the MRF full
-    conditional times the unit likelihood, with log-odds beta * (2 n1_i -
-    deg_i) + dll_i for n1_i neighbors at one and the unit's log-likelihood
-    difference dll_i. It sweeps class by class over Nug.color_classes():
-    sites in one class are not adjacent, so they are conditionally
-    independent given the rest and a whole class updates at once, still a
-    systematic scan. Its beta must be nonnegative: then the log-odds rise with n1_i, and z_i = 1 exactly
-    when n1_i reaches the threshold #{k : beta * (2k - deg_i) + dll_i <=
-    log u_i - log(1 - u_i)}. The heat-bath kernel shared with cftp_ising
-    compares the counts against these thresholds, with no exp to overflow.
+    Site i takes value one when its prior log-odds exceed x_i = logit(u_i) -
+    dll_i, with dll_i the unit's log-likelihood difference: that is when u_i
+    < P(z_i = 1 | rest). One numpy call computes every x_i, and no site
+    needs an exp. Given a DAG (the mixture models), the sweep visits sites
+    in ascending index, and model._site_logit, the body of the public full
+    conditionals, gives the log-odds. It keeps every site's count of parents
+    at one, n1, from one bincount at the start of the sweep, and when z_i
+    flips it moves n1 of each of i's children by one. The children come
+    from Dag.flat_children(), so a site costs one read per child. With dag
+    None (amrf and the exact MRF) the log-odds are beta * (2 n1_i - deg_i)
+    for n1_i neighbors at one. That sweep goes class by class over
+    Nug.color_classes(): sites in one class are not adjacent, so they are
+    conditionally independent given the rest and a whole class updates at
+    once, still a systematic scan. Its beta must be nonnegative: then the
+    log-odds rise with n1_i, and z_i = 1 exactly when n1_i reaches the
+    threshold #{k : beta * (2k - deg_i) <= x_i}. The heat-bath kernel shared
+    with cftp_ising compares the counts against these thresholds.
     """
     n = nug.n
     ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
-    u = rng.random(n)
+    x = special.logit(rng.random(n)) - (ll1 - ll0)
     if dag is not None:
         zz = _as_ints(z)
-        dll = (ll1 - ll0).tolist()
-        u = u.tolist()
         n1 = _one_counts(z, dag.edge_child, dag.edge_parent, n)
         in_degree, tables = dag.in_degree.tolist(), _child_tables(dag, beta)
         kids, offsets = dag.flat_children()
-        for i, a, b, ui, dl in zip(range(n), offsets, offsets[1:], u, dll):
+        for i, a, b, xi in zip(range(n), offsets, offsets[1:], x.tolist()):
             ch = kids[a:b]
-            logit = _site_logit(i, zz, n1, in_degree, ch, beta, tables) + dl
-            zi = 1 if ui < _prob_one(logit) else 0
+            zi = 1 if _site_logit(i, zz, n1, in_degree, ch, beta, tables) > xi else 0
             if zi != zz[i]:
                 zz[i] = zi
                 step = 2 * zi - 1
@@ -214,9 +210,9 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     classes, positions, order = nug.class_layout(1)
     width = int(nug.degrees.max(initial=0))
     count_type = np.min_scalar_type(width + 1)  # holds every count and threshold
-    # beta * (2k - deg_i) + dll_i <= logit(u_i) is 2 beta k <= x_i. Counting k
+    # beta * (2k - deg_i) <= x_i is 2 beta k <= x_i + beta * deg_i. Counting k
     # past deg_i changes no update, since n1_i <= deg_i.
-    x = special.logit(u) - (ll1 - ll0) + beta * nug.degrees
+    x = x + beta * nug.degrees
     thr = np.searchsorted(2.0 * beta * np.arange(width + 1), x[order], side="right")
     state = np.zeros(n + 1, dtype=np.uint8)  # the field in class order, then a zero pad slot
     state[positions[0]] = z

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from dagmix.cli import IdMap, _output_file, main
+from dagmix.dags import WALK_STEP_CAP
 from dagmix.samplers import PosteriorSamples
 
 
@@ -226,6 +228,25 @@ class TestFit:
                      "--model", "amrf", "--out", str(out)])
         assert code == 2
         assert "at least one row and one column" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_walk_step_cap_ends_a_high_beta_tree_fit(self, tmp_path, capsys):
+        # The chain starts at beta_max / 2 = 20. On a mixed field a tree walk
+        # then needs about e^20 steps to leave a same-value region, and the
+        # draw raises at its step cap instead: 0.1 s on a 2-core VM, stated as 30.
+        rows = [(i, v) for i in range(64) for v in ([1, 1] if i * 5 % 7 < 3 else [0, 0])]
+        data = write_ratings(tmp_path / "y.csv", rows)
+        out = tmp_path / "fit.jsonl"
+        start = time.perf_counter()
+        code = main([
+            "fit", "--rows", "8", "--cols", "8", "--order", "second",
+            "--data", str(data), "--model", "mdgm-st", "--beta-max", "40",
+            "--iters", "20", "--burnin", "10", "--out", str(out),
+        ])
+        assert time.perf_counter() - start < 30.0
+        assert code == 1
+        cap = WALK_STEP_CAP * 64
+        assert f"error: WalkCapError: the tree draw took more than {cap} walk steps" in capsys.readouterr().err
         assert not out.exists()
 
     def test_side_outputs(self, tmp_path):

@@ -23,7 +23,15 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
-from dagmix.dags import CLASS_ROOTED, CLASS_SPANNING_TREE, _orient_by_label, _path_costs, _wilson_tree
+from dagmix import dags as dags_module
+from dagmix.dags import (
+    CLASS_ROOTED,
+    CLASS_SPANNING_TREE,
+    _orient_by_label,
+    _path_costs,
+    _wilson_tree,
+    central_vertex,
+)
 from conftest import brute_force_spanning_trees, random_connected_nug, skeleton_key
 
 
@@ -286,21 +294,26 @@ class TestPosteriorSpanningTree:
         for c in counts.values():
             assert abs(c / draws - 0.25) < 0.015
 
-    def test_cycle4_enumerated_distribution(self, cycle4):
-        z = (0, 0, 1, 1)
+    def test_cycle4_enumerated_distribution(self, cycle4, lattice33_first):
+        # Every vertex of the 4-cycle is central, so it cannot show that the
+        # central root leaves the law alone; the 3x3 lattice can. Its bound:
+        # exact draws give E[TV] <= 0.5 sqrt(2/pi) sqrt(192 / 10^5) = 0.0175
+        # over its 192 trees, with sd about 0.001.
         beta = 0.5
-        weights = {}
-        for tree in brute_force_spanning_trees(4, cycle4.edges):
-            weights[tree] = math.exp(beta * sum(1 for (a, b) in tree if z[a] == z[b]))
-        total = sum(weights.values())
-        target = {k: v / total for k, v in weights.items()}
         rng = np.random.default_rng(9)
         draws = 10**5
-        counts = Counter()
-        for _ in range(draws):
-            counts[skeleton_key(posterior_spanning_tree(cycle4, z, beta, rng))] += 1
-        tv = 0.5 * sum(abs(counts.get(k, 0) / draws - p) for k, p in target.items())
-        assert tv < 0.01
+        for nug, z, bound in ((cycle4, (0, 0, 1, 1), 0.01),
+                              (lattice33_first, (0, 0, 1, 0, 0, 1, 1, 1, 1), 0.025)):
+            weights = {}
+            for tree in brute_force_spanning_trees(nug.n, nug.edges):
+                weights[tree] = math.exp(beta * sum(1 for (a, b) in tree if z[a] == z[b]))
+            total = sum(weights.values())
+            target = {k: v / total for k, v in weights.items()}
+            counts = Counter()
+            for _ in range(draws):
+                counts[skeleton_key(posterior_spanning_tree(nug, z, beta, rng))] += 1
+            tv = 0.5 * sum(abs(counts.get(k, 0) / draws - p) for k, p in target.items())
+            assert tv < bound
 
     def test_constant_field_is_uniform(self, cycle4):
         rng = np.random.default_rng(10)
@@ -325,11 +338,25 @@ class TestPosteriorSpanningTree:
                 for u in nug.neighbor_lists[v]:
                     acc += w_match if z[v] == z[u] else 1.0
                     row.append(acc)
-                cum.append(row)
+                cum.append([c / acc for c in row])
             got = posterior_spanning_tree(nug, z, beta, rng)
             ref = _wilson_tree(nug, twin, cum)
             assert (got.parents, got.root) == (ref.parents, ref.root)
             assert rng.random() == twin.random()
+
+    def test_walks_end_at_one_cached_central_vertex(self, monkeypatch):
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        assert nug._centre is None
+        rng = np.random.default_rng(16)
+        z = rng.integers(0, 2, nug.n)
+        first = posterior_spanning_tree(nug, z, 0.5, rng).root
+        assert first in (27, 28, 35, 36)  # the middle four cells
+        passes, costs = [], dags_module._path_costs
+        monkeypatch.setattr(dags_module, "_path_costs", lambda g, r: passes.append(g) or costs(g, r))
+        roots = {posterior_spanning_tree(nug, z, beta, rng).root for beta in (0.0, 1.0, 800.0)}
+        roots.add(uniform_spanning_tree(nug, rng).root)
+        assert roots == {first} == {central_vertex(nug)}
+        assert nug not in passes  # cached on the Nug: no pass ran on it again
 
     def test_lattice_edge_marginals_match_kirchhoff(self):
         # P(e in T) = w_e R_eff(e) under the weighted tree law (Lyons & Peres,
@@ -408,6 +435,21 @@ class TestPosteriorSpanningTree:
         rng = np.random.default_rng(11)
         with pytest.raises(ValueError):
             posterior_spanning_tree(cycle4, [0, 1, 0, 1], float("inf"), rng)
+
+
+class TestCentralVertex:
+    @pytest.mark.parametrize("nug, middle", [
+        (Nug(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), {2}),
+        (Nug(5, [(0, 4), (1, 4), (2, 4), (3, 4)]), {4}),
+        (Nug(1, []), {0}),
+        (build_lattice_nug(LatticeSpec(3, 7, "second")), {10}),
+        (build_lattice_nug(LatticeSpec(6, 20, "second")), {49, 50, 69, 70}),
+        (build_lattice_nug(LatticeSpec(32, 32, "first")), {495, 496, 527, 528}),
+    ])
+    def test_middle_vertex(self, nug, middle):
+        assert nug._centre is None
+        assert central_vertex(nug) in middle
+        assert nug._centre == central_vertex(nug)
 
 
 class TestMarkovBlanket:

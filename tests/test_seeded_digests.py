@@ -11,15 +11,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "seeded_digests.py"
 
 PINNED = [
-    "mdgm-st 05ab8a4dceae9a12",
+    "mdgm-st e9e167cadfda5e8e",
     "mdgm-rooted 44ce281c5c28303a",
     "mdgm-ao be20dc2fa74625be",
     "amrf 9168f4006003619e",
     "exact-mrf 88067973fe9b2bcb",
     "cftp ffa081d688406592",
     "graph eb959e0b21918e2e",
-    "trees de78361f1ae1e881",
-    "limit 3114455c80aae38d",
+    "trees ef50e921171a8cfa",
+    "limit a637715f4eb84036",
     "rooted 9d7030ce7e8210d7",
 ]
 
