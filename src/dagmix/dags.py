@@ -11,6 +11,7 @@ undirected edge of the NUG. Three constructible classes are provided:
 from __future__ import annotations
 
 import bisect
+import functools
 
 import numpy as np
 
@@ -150,14 +151,13 @@ def skeleton(dag: Dag) -> Nug:
 
 
 def _orient_by_label(nug: Nug, label, class_tag, root=None) -> Dag:
-    """Orient each NUG edge from its lower- to its higher-labelled end; equal labels drop it."""
-    li, lj = label[nug.edge_i], label[nug.edge_j]
-    keep = li != lj
-    up = (li < lj)[keep]
-    lo, hi = nug.edge_i[keep], nug.edge_j[keep]
-    child, parent = np.where(up, hi, lo), np.where(up, lo, hi)
-    order = np.lexsort((parent, child))
-    return _trusted_dag(nug.n, child[order], parent[order], class_tag, root)
+    """Orient each NUG edge from its lower- to its higher-labelled end; equal labels drop it.
+
+    One masked pass: an arc (i, j) whose head j has the lower label is the edge
+    (child i, parent j), and the CSR arcs are sorted by i, then j: Dag order.
+    """
+    down = label[nug.arc_j] < label[nug.arc_i]
+    return _trusted_dag(nug.n, nug.arc_i[down], nug.arc_j[down], class_tag, root)
 
 
 def _path_costs(nug: Nug, root: int) -> np.ndarray:
@@ -187,20 +187,36 @@ def _path_costs(nug: Nug, root: int) -> np.ndarray:
     return np.array(label)
 
 
-def central_vertex(nug: Nug) -> int:
-    """A vertex near the middle of a connected graph, cached on the Nug.
+def _four_end_vertex(nug: Nug) -> int:
+    """central_vertex's first guess, before its descent.
 
     Four _path_costs passes start from far-apart ends: the vertex farthest
     from vertex 0, then each time the one farthest from its nearest end so
     far (ties: largest total distance). The vertex with the smallest sum of
     squared costs to the ends wins, the lowest index on ties.
     """
+    far, ends = _path_costs(nug, 0), []
+    for _ in range(4):
+        ends.append(_path_costs(nug, int(np.argmax(far))))
+        far = np.min(ends, axis=0) * 8 * nug.n + np.sum(ends, axis=0)
+    return int(np.argmin(np.square(ends).sum(axis=0)))
+
+
+def central_vertex(nug: Nug) -> int:
+    """A vertex near the middle of a connected graph, cached on the Nug.
+
+    It starts at _four_end_vertex(nug), exact on lattices but not always on
+    irregular graphs, and descends: while some neighbour has a strictly
+    smaller total path cost to all vertices, it moves to the neighbour with
+    the smallest (the lowest index on ties). Each vertex it weighs costs one
+    _path_costs pass.
+    """
     if nug._centre is None:
-        far, ends = _path_costs(nug, 0), []
-        for _ in range(4):
-            ends.append(_path_costs(nug, int(np.argmax(far))))
-            far = np.min(ends, axis=0) * 8 * nug.n + np.sum(ends, axis=0)
-        nug._centre = int(np.argmin(np.square(ends).sum(axis=0)))
+        total = functools.cache(lambda u: int(_path_costs(nug, u).sum()))
+        v = _four_end_vertex(nug)
+        while total(best := min(nug.neighbor_lists[v], key=total, default=v)) < total(v):
+            v = best
+        nug._centre = v
     return nug._centre
 
 
@@ -217,10 +233,9 @@ def rooted_dag(nug: Nug, root: int) -> Dag:
 def acyclic_orientation(nug: Nug, perm) -> Dag:
     """Orient every NUG edge from the earlier to the later vertex in perm."""
     order = np.asarray(perm)
-    if order.shape != (nug.n,) or not np.array_equal(np.sort(order), np.arange(nug.n)):
+    rank = np.argsort(order)  # the inverse permutation, if order is one
+    if order.shape != (nug.n,) or not np.array_equal(order[rank], np.arange(nug.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    rank = np.empty(nug.n, dtype=np.intp)
-    rank[order] = np.arange(nug.n)
     return _orient_by_label(nug, rank, CLASS_ACYCLIC_ORIENTATION)
 
 
@@ -358,7 +373,10 @@ def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:
     mid = np.arange(n + c, n + c + len(mi))
     ti = np.concatenate((i, lowest, n + label[mi], n + label[mj]))
     tj = np.concatenate((j, np.arange(n, n + c), mid, mid))
-    walk = uniform_spanning_tree(_trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti)), rng)
+    tied = _trusted_nug(n + c + len(mi), ti, tj, np.ones_like(ti))
+    # walked once, so central_vertex's descent would cost more passes than it saves steps
+    tied._centre = _four_end_vertex(tied)
+    walk = uniform_spanning_tree(tied, rng)
     ties = np.bincount(np.concatenate((walk.edge_child, walk.edge_parent)), minlength=n + c + len(mi))
     inner = (walk.edge_child < n) & (walk.edge_parent < n)
     joins = ties[n + c:] == 2

@@ -342,11 +342,8 @@ def eta_full_conditional_params(obs: Observations, z, priors: PriorSpec):
     zz = np.asarray(z, dtype=np.int64)
     if zz.shape != (obs.n,):
         raise ValueError(f"field length {zz.shape} does not match {obs.n} units")
-    ones = zz == 1
-    s1 = int(obs.s[ones].sum())
-    f1 = int((obs.m[ones] - obs.s[ones]).sum())
-    s0 = int(obs.s[~ones].sum())
-    f0 = int((obs.m[~ones] - obs.s[~ones]).sum())
-    a1, b1 = priors.eta1_beta_params
-    a0, b0 = priors.eta0_beta_params
+    s1, m1 = int(obs.s @ zz), int(obs.m @ zz)
+    s0, m0 = int(obs.s.sum()) - s1, obs.total - m1
+    f1, f0 = m1 - s1, m0 - s0
+    (a1, b1), (a0, b0) = priors.eta1_beta_params, priors.eta0_beta_params
     return (a1 + s1, b1 + f1), (a0 + s0, b0 + f0)

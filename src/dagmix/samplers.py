@@ -441,10 +441,10 @@ def _sample_truncated_beta(a, b, lo, hi, current, rng):
     Returns (value, stalled). When the truncation mass underflows and
     rejection also fails, the current value is kept and stalled is True.
     """
-    lo = max(lo, 0.0)
-    hi = min(hi, 1.0)
-    f_lo = float(special.betainc(a, b, lo))
-    f_hi = float(special.betainc(a, b, hi))
+    lo, hi = max(lo, 0.0), min(hi, 1.0)
+    # the regularized incomplete beta is exactly 0 at 0 and 1 at 1
+    f_lo = float(special.betainc(a, b, lo)) if lo > 0.0 else 0.0
+    f_hi = float(special.betainc(a, b, hi)) if hi < 1.0 else 1.0
     mass = f_hi - f_lo
     if mass > 1e-12:
         x = float(special.betaincinv(a, b, f_lo + rng.random() * mass))
@@ -464,12 +464,9 @@ def gibbs_update_eta(obs: Observations, z, eta: NoiseParams, priors: PriorSpec, 
     NoiseParams and the number of stalled components (0-2).
     """
     (a1, b1), (a0, b0) = eta_full_conditional_params(obs, z, priors)
-    stalls = 0
-    eta1, s = _sample_truncated_beta(a1, b1, eta.eta0, 1.0, eta.eta1, rng)
-    stalls += s
-    eta0, s = _sample_truncated_beta(a0, b0, 0.0, eta1, eta.eta0, rng)
-    stalls += s
-    return NoiseParams(eta0=eta0, eta1=eta1), stalls
+    eta1, stalled1 = _sample_truncated_beta(a1, b1, eta.eta0, 1.0, eta.eta1, rng)
+    eta0, stalled0 = _sample_truncated_beta(a0, b0, 0.0, eta1, eta.eta0, rng)
+    return NoiseParams(eta0=eta0, eta1=eta1), stalled1 + stalled0
 
 
 def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
@@ -536,9 +533,7 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     horizons = HorizonHistogram() if model == EXACT_MRF else None
 
     keep = config.iterations - config.burn_in
-    rec_beta = np.empty(keep)
-    rec_eta0 = np.empty(keep)
-    rec_eta1 = np.empty(keep)
+    rec_beta, rec_eta0, rec_eta1 = np.empty((3, keep))
     rec_T = np.empty(keep, dtype=np.int64)
     rec_z = np.empty((keep, nug.n), dtype=np.uint8)
     rec_trees = None
@@ -579,25 +574,15 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
 
         if b >= config.burn_in:
             k = b - config.burn_in
-            rec_beta[k] = beta
-            rec_eta0[k] = eta.eta0
-            rec_eta1[k] = eta.eta1
+            rec_beta[k], rec_eta0[k], rec_eta1[k] = beta, eta.eta0, eta.eta1
             rec_T[k] = suff_stat_T(z, nug)
             rec_z[k] = z
             if rec_trees is not None:
                 rec_trees[k] = np.column_stack((dag.edge_child, dag.edge_parent))
 
     return PosteriorSamples(
-        model=model,
-        burn_in=config.burn_in,
-        iterations=config.iterations,
-        beta=rec_beta,
-        eta0=rec_eta0,
-        eta1=rec_eta1,
-        T=rec_T,
-        z=rec_z,
-        tree_edges=rec_trees,
-        acceptance={k: tuple(v) for k, v in accept.items()},
-        eta_stalls=eta_stalls,
+        model=model, burn_in=config.burn_in, iterations=config.iterations, beta=rec_beta,
+        eta0=rec_eta0, eta1=rec_eta1, T=rec_T, z=rec_z, tree_edges=rec_trees,
+        acceptance={k: tuple(v) for k, v in accept.items()}, eta_stalls=eta_stalls,
         cftp_horizons=None if horizons is None else horizons.counts,
     )

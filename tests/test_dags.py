@@ -25,10 +25,13 @@ from dagmix import (
 )
 from dagmix import dags as dags_module
 from dagmix.dags import (
+    CLASS_ACYCLIC_ORIENTATION,
     CLASS_ROOTED,
     CLASS_SPANNING_TREE,
+    _four_end_vertex,
     _orient_by_label,
     _path_costs,
+    _trusted_dag,
     _wilson_tree,
     central_vertex,
 )
@@ -205,6 +208,46 @@ class TestPathCosts:
         nug = Nug(4, [(0, 1), (2, 3)], {(2, 3): 2})
         with pytest.raises(DisconnectedGraphError, match="^not every vertex is reachable from root 2$"):
             _path_costs(nug, 2)
+
+
+def _orient_by_label_reference(nug, label, class_tag, root=None):
+    """Orientation from the undirected edge list: pick each end by np.where, then lexsort."""
+    li, lj = label[nug.edge_i], label[nug.edge_j]
+    keep = li != lj
+    up = (li < lj)[keep]
+    lo, hi = nug.edge_i[keep], nug.edge_j[keep]
+    child, parent = np.where(up, hi, lo), np.where(up, lo, hi)
+    order = np.lexsort((parent, child))
+    return _trusted_dag(nug.n, child[order], parent[order], class_tag, root)
+
+
+class TestOrientByLabel:
+    """The masked pass over the CSR arcs against the edge-list construction."""
+
+    @pytest.mark.parametrize("case", _PATH_COST_CASES + [pytest.param(None, id="single-vertex")])
+    def test_matches_where_lexsort_reference(self, case):
+        nug = Nug(1, []) if case is None else _path_cost_graph(case)
+        rng = np.random.default_rng(31)
+        labels = [(np.argsort(rng.permutation(nug.n)), CLASS_ACYCLIC_ORIENTATION, None)
+                  for _ in range(5)]
+        labels += [(_path_costs(nug, root), CLASS_ROOTED, root) for root in range(nug.n)]
+        for label, class_tag, root in labels:
+            got = _orient_by_label(nug, label, class_tag, root)
+            want = _orient_by_label_reference(nug, label, class_tag, root)
+            for name in ("edge_child", "edge_parent", "in_degree"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.edge_child.dtype == np.intp
+            assert got.flat_children() == want.flat_children()
+            assert got.parents == want.parents and got.children == want.children
+            assert (got.n, got.root, got.class_tag) == (nug.n, root, class_tag)
+
+    def test_tied_labels_drop_edges(self, lattice33_second):
+        # corner 0 of the 3x3 second-order lattice: cells 1 and 3 both sit at cost 1
+        dag = _orient_by_label(lattice33_second, _path_costs(lattice33_second, 0), CLASS_ROOTED, 0)
+        assert (1, 3) in lattice33_second.edges
+        assert not {(1, 3), (3, 1)} & set(dag.directed_edges())
+        assert dag.num_edges() < len(lattice33_second.edges)
 
 
 class TestAcyclicOrientation:
@@ -450,6 +493,17 @@ class TestCentralVertex:
         assert nug._centre is None
         assert central_vertex(nug) in middle
         assert nug._centre == central_vertex(nug)
+
+    def test_no_neighbour_has_a_smaller_total_cost(self):
+        rng = np.random.default_rng(41)
+        moved = 0
+        for _ in range(30):
+            nug = random_connected_nug(rng, int(rng.integers(40, 201)), int(rng.integers(5, 81)))
+            v = central_vertex(nug)
+            total = _path_costs(nug, v).sum()
+            assert all(_path_costs(nug, u).sum() >= total for u in nug.neighbors(v))
+            moved += v != _four_end_vertex(nug)
+        assert moved  # the descent leaves the first guess on some of these graphs
 
 
 class TestMarkovBlanket:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -507,7 +508,39 @@ class TestPseudoLikelihood:
             )
 
 
+def _eta_params_reference(obs, z, priors):
+    """The Beta parameters from boolean-mask sums over the units at one and at zero."""
+    ones = np.asarray(z, dtype=np.int64) == 1
+    s1, f1 = int(obs.s[ones].sum()), int((obs.m[ones] - obs.s[ones]).sum())
+    s0, f0 = int(obs.s[~ones].sum()), int((obs.m[~ones] - obs.s[~ones]).sum())
+    (a1, b1), (a0, b0) = priors.eta1_beta_params, priors.eta0_beta_params
+    return (a1 + s1, b1 + f1), (a0 + s0, b0 + f0)
+
+
 class TestEtaFullConditional:
+    def test_matches_masked_sums(self):
+        rng = np.random.default_rng(51)
+        unrated = 0
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            obs = quiet_obs([rng.integers(0, 2, int(rng.integers(0, 6))).tolist() for _ in range(n)])
+            unrated += int((obs.m == 0).sum())
+            priors = PriorSpec(tuple(rng.uniform(0.1, 5.0, 2)), tuple(rng.uniform(0.1, 5.0, 2)))
+            z = rng.integers(0, 2, n)
+            want = _eta_params_reference(obs, z, priors)
+            for field in (z.astype(np.uint8), z.astype(bool), z.astype(np.int64), z.tolist()):
+                got = eta_full_conditional_params(obs, field, priors)
+                assert got == want
+                assert [type(v) for pair in got for v in pair] == [type(v) for pair in want for v in pair]
+        assert unrated
+
+    @pytest.mark.parametrize("z, shape", [([0, 1], "(2,)"), ([0, 1, 1, 0], "(4,)"),
+                                          (np.zeros((3, 1)), "(3, 1)")])
+    def test_wrong_length_field(self, z, shape):
+        obs = quiet_obs([[1], [0, 1], []])
+        with pytest.raises(ValueError, match=re.escape(f"field length {shape} does not match 3 units")):
+            eta_full_conditional_params(obs, z, PriorSpec())
+
     def test_no_observations(self):
         obs = quiet_obs([[], []])
         priors = PriorSpec()

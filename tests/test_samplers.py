@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.special import logsumexp
 from scipy.stats import norm
 
@@ -701,6 +702,35 @@ class TestGibbsEta:
         means = np.mean(draws, axis=0)
         assert abs(means[0] - y0.mean()) < 0.02
         assert abs(means[1] - y1.mean()) < 0.02
+
+    @staticmethod
+    def _betainc_at_both_bounds(a, b, lo, hi, current, rng):
+        """_sample_truncated_beta with special.betainc evaluated at both bounds, 0 and 1 included."""
+        lo, hi = max(lo, 0.0), min(hi, 1.0)
+        f_lo, f_hi = float(special.betainc(a, b, lo)), float(special.betainc(a, b, hi))
+        if f_hi - f_lo > 1e-12:
+            x = float(special.betaincinv(a, b, f_lo + rng.random() * (f_hi - f_lo)))
+            if lo < x < hi:
+                return x, False
+        for _ in range(1000):
+            x = float(rng.beta(a, b))
+            if lo < x < hi:
+                return x, False
+        return current, True
+
+    def test_unit_interval_bounds_skip_betainc(self):
+        rng = np.random.default_rng(21)
+        a, b = np.exp(rng.uniform(-3.0, 9.0, (2, 10**4)))
+        assert (special.betainc(a, b, 0.0) == 0.0).all() and (special.betainc(a, b, 1.0) == 1.0).all()
+        for k in range(300):
+            bound = float(rng.uniform(0.001, 0.999))
+            lo, hi = ((0.0, bound), (bound, 1.0), (0.0, 1.0))[k % 3]
+            seed = int(rng.integers(2**31))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _sample_truncated_beta(a[k], b[k], lo, hi, 0.5, got_rng)
+            want = self._betainc_at_both_bounds(a[k], b[k], lo, hi, 0.5, want_rng)
+            assert got == want
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_degenerate_truncation_stalls(self):
         rng = np.random.default_rng(20)

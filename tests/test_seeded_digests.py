@@ -21,6 +21,7 @@ PINNED = [
     "trees ef50e921171a8cfa",
     "limit a637715f4eb84036",
     "rooted 9d7030ce7e8210d7",
+    "orient 0bc72328185db55e",
 ]
 
 

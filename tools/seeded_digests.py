@@ -46,6 +46,14 @@ The line `rooted <digest>` covers rooted-DAG construction alone. For each
 of 8x8 and 16x16 second order and 32x32 first order it hashes
 rooted_dag(nug, r) for every root r in ascending order. Each DAG
 contributes the dtype and bytes of edge_child and edge_parent and its root.
+
+The line `orient <digest>` covers acyclic-orientation proposals alone. For
+each of 8x8 and 16x16 second order, 32x32 first order and a seeded
+irregular graph (100 vertices: a random tree plus 60 chords), from a fresh
+default_rng(7), it hashes 50 orientation proposals of the sampler's DAG
+move, then the generator's next uniform. Each proposal contributes the
+dtype and bytes of edge_child, edge_parent and in_degree, and
+flat_children().
 """
 
 from __future__ import annotations
@@ -61,9 +69,15 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
-from dagmix.dags import posterior_spanning_tree, rooted_dag, skeleton, uniform_spanning_tree  # noqa: E402
+from dagmix.dags import (  # noqa: E402
+    CLASS_ACYCLIC_ORIENTATION,
+    posterior_spanning_tree,
+    rooted_dag,
+    skeleton,
+    uniform_spanning_tree,
+)
 from dagmix.graph import Nug, load_nug, save_nug  # noqa: E402
-from dagmix.samplers import ALL_MODELS, EXACT_MRF, cftp_ising  # noqa: E402
+from dagmix.samplers import ALL_MODELS, EXACT_MRF, _draw_dag, cftp_ising  # noqa: E402
 
 
 def digests():
@@ -156,6 +170,32 @@ def rooted_digest():
     return h.hexdigest()[:16]
 
 
+def irregular_nug():
+    """A seeded connected graph of 100 vertices: a random tree plus 60 chords."""
+    rng = np.random.default_rng(11)
+    order = rng.permutation(100).tolist()
+    edges = {tuple(sorted((order[k], order[int(rng.integers(k))]))) for k in range(1, 100)}
+    while len(edges) < 159:
+        edges.add(tuple(sorted(rng.choice(100, 2, replace=False).tolist())))
+    return Nug(100, sorted(edges))
+
+
+def orient_digest():
+    """Digest of acyclic-orientation proposals and each setting's next uniform."""
+    h = hashlib.sha256()
+    nugs = [build_lattice_nug(spec) for spec in (LatticeSpec(8, 8, "second"),
+            LatticeSpec(16, 16, "second"), LatticeSpec(32, 32, "first"))]
+    for nug in nugs + [irregular_nug()]:
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            dag = _draw_dag(nug, rng, CLASS_ACYCLIC_ORIENTATION)
+            for a in (dag.edge_child, dag.edge_parent, dag.in_degree):
+                h.update(a.dtype.str.encode() + a.tobytes())
+            h.update(repr(dag.flat_children()).encode())
+        h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
@@ -164,3 +204,4 @@ if __name__ == "__main__":
     print(f"trees {trees_digest()}")
     print(f"limit {limit_digest()}")
     print(f"rooted {rooted_digest()}")
+    print(f"orient {orient_digest()}")
