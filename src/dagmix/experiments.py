@@ -1,9 +1,9 @@
 """Data generation, metrics, enumeration oracles, and the study harnesses.
 
 The brute-force oracle enumerates every latent field on small graphs and
-sums every mixture component (the spanning trees by the matrix-tree
-theorem); sampler tests and acceptance checks are validated against it,
-never the other way around.
+sums each mixture exactly (the spanning trees by the matrix-tree theorem,
+the orientations by an order-sum over vertex subsets); sampler tests and
+acceptance checks are validated against it, never the other way around.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import logsumexp
 
-from .dags import acyclic_orientation, rooted_dag
+from .dags import rooted_dag
 from .graph import (
     ORDER_FIRST,
     IntractableError,
     LatticeSpec,
     Nug,
     build_lattice_nug,
+    count_acyclic_orientations,
     count_spanning_trees,
 )
 from .model import (
@@ -384,34 +385,11 @@ def all_fields(n) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
 
 
-def enumerate_orientation_mixture(nug: Nug, max_n=7):
-    """All acyclic orientations with the permutation-induced prior weights.
-
-    Every vertex permutation maps to one orientation; the induced weight of
-    an orientation is its number of generating permutations divided by n!.
-    """
-    if nug.n > max_n:
-        raise IntractableError(f"n={nug.n} exceeds the permutation enumeration cap")
-    weights = {}
-    dags = {}
-    for perm in itertools.permutations(range(nug.n)):
-        dag = acyclic_orientation(nug, perm)
-        key = frozenset(dag.directed_edges())
-        weights[key] = weights.get(key, 0) + 1
-        dags.setdefault(key, dag)
-    total = math.factorial(nug.n)
-    return [(dags[k], w / total) for k, w in sorted(weights.items(), key=lambda kv: sorted(kv[0]))]
-
-
 def _field_logliks(obs: Observations, eta: NoiseParams, fields) -> np.ndarray:
     s, m = obs.s, obs.m
     ll1 = s * math.log(eta.eta1) + (m - s) * np.log1p(-eta.eta1)
     ll0 = s * math.log(eta.eta0) + (m - s) * np.log1p(-eta.eta0)
     return fields @ (ll1 - ll0) + ll0.sum()
-
-
-def _field_suffstats(nug: Nug, fields) -> np.ndarray:
-    return (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
 
 
 def _log_prior_table(nug: Nug, fields, betas, model):
@@ -424,34 +402,59 @@ def _log_prior_table(nug: Nug, fields, betas, model):
     e^(beta * I(z_i = z_j)) / (1 + e^beta) on each edge, and the sum over
     all tau(G) trees of the edge-weight products is det L_w(z)*, a minor of
     the Laplacian with those weights, so log p(z | beta) = log det L_w(z)* -
-    log tau(G) - log 2 - (n - 1) log(1 + e^beta). The rooted and orientation
-    mixtures log sum_D w_D prod_i p(z_i | z_pa(i)) are accumulated one
-    component at a time, with the site term written here rather than taken
-    from the sampler's log_dgm_prior.
+    log tau(G) - log 2 - (n - 1) log(1 + e^beta). The orientation mixture is
+    an order-sum over vertex subsets; the n rooted DAGs are summed one by
+    one. Both score sites with _log_site, not the sampler's log_dgm_prior.
     """
     b = np.asarray(betas, dtype=np.float64)[:, None]
     if model in (EXACT_MRF, AMRF):
-        bt = b * _field_suffstats(nug, fields)
+        bt = b * (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
         return bt - logsumexp(bt, axis=1, keepdims=True), None
     if model == MDGM_ST:
         n_trees = count_spanning_trees(nug)
         return _log_spanning_tree_prior(nug, fields, b[:, 0], n_trees), n_trees
-    if model == MDGM_ROOTED:
-        components = [(rooted_dag(nug, r), 1.0 / nug.n) for r in range(nug.n)]
-    elif model == MDGM_AO:
-        components = enumerate_orientation_mixture(nug)
-    else:
+    ones = fields.astype(np.int64) @ (1 << np.arange(nug.n))  # each field's 1-sites as bits
+    if model == MDGM_AO:
+        block = max(1, (1 << 22) >> 2 * nug.n)  # betas per 2^22 floats of subset table
+        rows = [_log_orientation_prior(nug, ones, b[k:k + block, :, None])
+                for k in range(0, len(b), block)]
+        return np.concatenate(rows), count_acyclic_orientations(nug, max_edges=len(nug.edges))
+    if model != MDGM_ROOTED:
         raise ValueError(f"unknown model {model!r}")
-    z = fields.astype(np.int64)
-    table = np.full((len(b), len(z)), -np.inf)
-    for dag, weight in components:
-        log_p = np.full_like(table, math.log(weight))
-        for i, pa in enumerate(dag.parents):
-            n1 = z[:, list(pa)].sum(axis=1)
-            n0 = len(pa) - n1
-            log_p += b * np.where(z[:, i] == 1, n1, n0) - np.logaddexp(b * n0, b * n1)
+    table = np.full((len(b), len(ones)), -np.inf)
+    for r in range(nug.n):
+        sites = enumerate(rooted_dag(nug, r).parents)
+        log_p = sum((_log_site(b, ones, v, sum(1 << u for u in pa)) for v, pa in sites),
+                    math.log(1.0 / nug.n))
         table = np.logaddexp(table, log_p)
-    return table, len(components)
+    return table, nug.n
+
+
+def _log_site(b, ones, v, parents):
+    """log p(z_v | z_pa) at betas b, with fields and parent sets given as bitmasks."""
+    n1 = np.bitwise_count(ones & parents)
+    n0 = np.bitwise_count(parents) - n1
+    return b * np.where(ones >> v & 1, n1, n0) - np.logaddexp(b * n0, b * n1)
+
+
+def _log_orientation_prior(nug: Nug, ones, b):
+    """mdgm-ao rows at betas b, shaped (k, 1, 1), by the order-sum over vertex subsets.
+
+    An order gives v the parents N(v) & S, S the vertices placed before v.
+    With F({}) = 1 and F(S + v) += F(S) p(z_v | z_(N(v) & S)), one subset
+    size at a time, p(z | beta) = F(V) / n! (Koivisto and Sood, JMLR 2004).
+    """
+    n = nug.n
+    nbrs = [sum(1 << u for u in nb) for nb in nug.neighbor_lists]
+    subsets = np.arange(1 << n)
+    sizes = np.bitwise_count(subsets)
+    table = np.full((len(b), 1 << n, len(ones)), -np.inf)
+    table[:, 0] = 0.0
+    for k, v in itertools.product(range(n), range(n)):
+        s = subsets[(sizes == k) & (subsets >> v & 1 == 0)]
+        site = _log_site(b, ones, v, (nbrs[v] & s)[:, None])
+        table[:, s | 1 << v] = np.logaddexp(table[:, s | 1 << v], table[:, s] + site)
+    return table[:, -1] - math.lgamma(n + 1)
 
 
 def _log_spanning_tree_prior(nug: Nug, fields, betas, n_trees):
@@ -486,11 +489,8 @@ def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
 
     The exact MRF and amrf share the same fixed-beta z-posterior (the
     pseudo-likelihood approximation only alters the beta update). The
-    spanning-tree mixture is summed over all tau(G) trees by the matrix-tree
-    theorem, so it needs no tree enumeration; the rooted and orientation
-    mixtures enumerate every component: all n rooted DAGs, or all
-    orientations with permutation-induced weights. n_components is tau(G),
-    n or the number of orientations.
+    mixtures are summed exactly as in _log_prior_table; n_components is the
+    number of spanning trees, rooted DAGs or acyclic orientations.
     """
     if nug.n > max_n:
         raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")

@@ -6,11 +6,16 @@ is checked against independent implementations.
 """
 
 import itertools
+import math
 import warnings
+from collections import Counter
 
+import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from dagmix import Nug, Observations, build_lattice_nug, LatticeSpec
+from dagmix.dags import CLASS_ACYCLIC_ORIENTATION, Dag
 
 
 def quiet_obs(y_lists, n=None):
@@ -84,6 +89,42 @@ def brute_force_ao_count(n, edges):
         if seen == n:
             count += 1
     return count
+
+
+def brute_force_ao_mixture(nug):
+    """Every acyclic orientation with its prior weight, by walking all n!
+    vertex orders: an order gives each vertex its earlier neighbours as
+    parents, and an orientation weighs the share of orders that give it.
+    Sorted by the orientation's sorted (child, parent) pairs."""
+    counts = Counter()
+    for order in itertools.permutations(range(nug.n)):
+        place = {v: k for k, v in enumerate(order)}
+        counts[tuple(
+            (v, u) for v in range(nug.n) for u in nug.neighbors(v) if place[u] < place[v]
+        )] += 1
+    total = math.factorial(nug.n)
+    mixture = []
+    for pairs, count in sorted(counts.items()):
+        parents = [[u for c, u in pairs if c == v] for v in range(nug.n)]
+        mixture.append((Dag(parents, CLASS_ACYCLIC_ORIENTATION), count / total))
+    return mixture
+
+
+def brute_force_ao_log_prior(nug, fields, beta):
+    """log p(z | beta) of mdgm-ao for each row of fields, summed orientation
+    by orientation over brute_force_ao_mixture. A site with n1 parents at 1
+    and n0 at 0 scores e^(beta * n1) / (e^(beta * n0) + e^(beta * n1)) at 1
+    and e^(beta * n0) / (same) at 0. Also returns the orientation count."""
+    z = np.asarray(fields, dtype=np.int64)
+    per_dag = []
+    for dag, weight in brute_force_ao_mixture(nug):
+        log_p = np.full(len(z), math.log(weight))
+        for v, pa in enumerate(dag.parents):
+            n1 = z[:, list(pa)].sum(axis=1)
+            n0 = len(pa) - n1
+            log_p += beta * np.where(z[:, v] == 1, n1, n0) - np.logaddexp(beta * n0, beta * n1)
+        per_dag.append(log_p)
+    return logsumexp(per_dag, axis=0), len(per_dag)
 
 
 def all_fields(n):

@@ -37,14 +37,19 @@ from dagmix.experiments import (
     crossval_to_csv,
     _log_prior_table,
     all_fields as field_matrix,
-    enumerate_orientation_mixture,
     ks_distance,
     predict_rating_probability,
     study_to_csv,
     total_variation,
 )
 from dagmix.samplers import ALL_MODELS, AMRF, EXACT_MRF, MDGM_AO, MDGM_ROOTED, MDGM_ST, PosteriorSamples
-from conftest import all_fields, brute_force_spanning_trees, quiet_obs, random_connected_nug
+from conftest import (
+    all_fields,
+    brute_force_ao_log_prior,
+    brute_force_spanning_trees,
+    quiet_obs,
+    random_connected_nug,
+)
 
 
 def make_samples(z_rows, T=None, beta=None, eta0=None, eta1=None, model="amrf"):
@@ -346,18 +351,6 @@ class TestCrossValidation:
         assert buf.getvalue() == "iteration,model,mae\n0,amrf,0.25\n"
 
 
-class TestEnumerationHelpers:
-    def test_orientation_mixture_weights(self, triangle):
-        mixture = enumerate_orientation_mixture(triangle)
-        assert len(mixture) == 6
-        assert sum(w for _, w in mixture) == pytest.approx(1.0)
-
-    def test_orientation_mixture_cap(self):
-        nug = build_lattice_nug(LatticeSpec(3, 3, "first"))
-        with pytest.raises(IntractableError):
-            enumerate_orientation_mixture(nug, max_n=7)
-
-
 class TestOracle:
     def test_flat_case_all_models(self):
         nug = build_lattice_nug(LatticeSpec(2, 2, "first"))
@@ -500,6 +493,35 @@ def test_spanning_tree_rows_match_tree_enumeration(name, request):
         np.testing.assert_allclose(
             row, _spanning_tree_prior_by_enumeration(nug, fields, beta), rtol=0, atol=1e-12
         )
+
+
+_ORIENTATION_ORACLE_GRAPHS = {
+    "n=1": Nug(1, []),
+    "n=2": Nug(2, [(0, 1)]),
+    "2x2-first": build_lattice_nug(LatticeSpec(2, 2, "first")),
+    "2x2-second": build_lattice_nug(LatticeSpec(2, 2, "second")),
+    "2x3-second": build_lattice_nug(LatticeSpec(2, 3, "second")),
+    "1x7": build_lattice_nug(LatticeSpec(1, 7, "first")),
+    "random-6": random_connected_nug(np.random.default_rng(31), 6, 4),
+    "disconnected-5": Nug(5, [(0, 1), (2, 3), (3, 4), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", ["path3", "triangle", "cycle4", *_ORIENTATION_ORACLE_GRAPHS])
+def test_orientation_rows_match_permutation_enumeration(name, request):
+    # the oracle sums the orders by a dynamic program over vertex subsets;
+    # this walks every permutation and sums the distinct orientations
+    if name in _ORIENTATION_ORACLE_GRAPHS:
+        nug = _ORIENTATION_ORACLE_GRAPHS[name]
+    else:
+        nug = request.getfixturevalue(name)
+    fields = field_matrix(nug.n)
+    betas = [0.0, 0.4, 1.3, 10.0]
+    table, n_components = _log_prior_table(nug, fields, betas, MDGM_AO)
+    for row, beta in zip(table, betas):
+        want, n_orientations = brute_force_ao_log_prior(nug, fields, beta)
+        np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+    assert n_components == n_orientations
 
 
 class TestBetaOracle:

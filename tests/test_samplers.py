@@ -40,7 +40,8 @@ from dagmix import (
 from dagmix import samplers
 from dagmix.dags import Dag
 from dagmix.experiments import (
-    enumerate_orientation_mixture,
+    _log_prior_table,
+    all_fields as field_matrix,
     exact_posterior_oracle,
     joint_beta_oracle,
     kac_ward_log_partition,
@@ -56,7 +57,7 @@ from dagmix.samplers import (
     HorizonHistogram,
     _sample_truncated_beta,
 )
-from conftest import all_fields, quiet_obs
+from conftest import all_fields, brute_force_ao_mixture, quiet_obs
 
 
 @pytest.fixture
@@ -179,13 +180,18 @@ class TestGibbsZ:
         samples = run_chain(obs22, lattice22, cfg)
         assert np.abs(samples.z_mean() - oracle.marginals).max() < 0.01
 
-    @pytest.mark.parametrize("model", [MDGM_ST, MDGM_ROOTED, AMRF, EXACT_MRF])
+    @pytest.mark.parametrize("model", [MDGM_ST, MDGM_ROOTED, MDGM_AO, AMRF, EXACT_MRF])
     def test_long_run_marginals_match_oracle_with_four_classes(self, model):
         # Past the 2x2 lattice above: 3x3 second order has 17745 spanning
-        # trees, summed by the oracle's matrix-tree form, and four color
-        # classes for the MRF sweep.
+        # trees, summed by the oracle's matrix-tree form, 19968 acyclic
+        # orientations, summed by its order-sum over vertex subsets, and
+        # four color classes for the MRF sweep.
         nug = build_lattice_nug(LatticeSpec(3, 3, "second"))
         assert len(nug.color_classes()) == 4
+        if model == MDGM_AO:
+            table, n_components = _log_prior_table(nug, field_matrix(9), [0.0, 0.4, 2.5], model)
+            assert n_components == 19968
+            np.testing.assert_allclose(logsumexp(table, axis=1), 0.0, rtol=0, atol=1e-12)
         obs = Observations([[1, 1], [0], [], [1, 0, 1], [0, 0], [1], [], [0, 1], [1, 1, 0]])
         eta = NoiseParams(0.2, 0.8)
         beta = 0.4
@@ -227,7 +233,7 @@ class TestMhDag:
     def test_orientation_stationary_distribution(self, triangle):
         z = [0, 1, 1]
         beta = 0.9
-        mixture = enumerate_orientation_mixture(triangle)
+        mixture = brute_force_ao_mixture(triangle)
         keys = [frozenset(d.directed_edges()) for d, _ in mixture]
         logw = np.array([
             math.log(w) + log_dgm_prior(z, d, beta) for d, w in mixture
