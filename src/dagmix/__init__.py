@@ -83,7 +83,7 @@ from .experiments import (
     exact_posterior_oracle,
     generate_dataset,
     joint_beta_oracle,
-    kac_ward_log_partition,
+    mrf_log_partition,
     posterior_mean_accuracy,
     posterior_rmse_T,
     predict_rating_probability,

@@ -321,6 +321,9 @@ def cmd_fit(args) -> int:
 
 def cmd_crossval(args) -> int:
     _require(args, "data", "models", "holdout", "iterations", "out")
+    for flag in ("holdout", "iterations"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     models = _parse_models(args.models)
     nug = _resolve_nug(args)
     obs, idmap = _load_data(args, nug)
@@ -338,6 +341,8 @@ def cmd_crossval(args) -> int:
 
 def cmd_count(args) -> int:
     _require(args, "what")
+    if args.ao_cap < 0:
+        raise UsageError(f"--ao-cap must be at least 0, got {args.ao_cap}")
     nug = _resolve_nug(args)
     if args.what == "trees":
         print(count_spanning_trees(nug))

@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Nug, _split, _trusted_nug, is_connected
+from .graph import DisconnectedGraphError, Nug, _component_minima, _split, _trusted_nug, is_connected
 
 CLASS_SPANNING_TREE = "spanning-tree"
 CLASS_ROOTED = "rooted"
@@ -337,20 +337,6 @@ def posterior_spanning_tree(nug: Nug, z, beta: float, rng) -> Dag:
     weight[nbrs == nug.n] = 0.0
     cum = np.cumsum(weight, axis=1)
     return _wilson_tree(nug, rng, (cum / cum[:, -1:]).tolist())
-
-
-def _component_minima(n, i, j):
-    """The lowest vertex of each vertex's component in the graph with edges (i[e], j[e])."""
-    label = np.arange(n)
-    while True:
-        low = np.minimum(label[i], label[j])
-        new = label.copy()
-        np.minimum.at(new, i, low)
-        np.minimum.at(new, j, low)
-        new = new[new]
-        if np.array_equal(new, label):
-            return label
-        label = new
 
 
 def _fewest_mismatch_tree(nug: Nug, z, rng) -> Dag:

@@ -7,7 +7,6 @@ units. Vertices are dense 0-based indices; every edge carries a weight in
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ class DisconnectedGraphError(ValueError):
 
 
 class IntractableError(RuntimeError):
-    """An exact count would exceed the configured size cap."""
+    """An exact computation (a count, an enumeration, a sweep) would exceed its size cap."""
 
 
 ORDER_FIRST = "first"
@@ -305,21 +304,24 @@ def laplacian(nug: Nug) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def _component_minima(n, i, j):
+    """The lowest vertex of each vertex's component in the graph with edges (i[e], j[e])."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[i], label[j])
+        new = label.copy()
+        np.minimum.at(new, i, low)
+        np.minimum.at(new, j, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
 def is_connected(nug: Nug) -> bool:
-    """Breadth-first reachability of all n vertices from vertex 0, cached on the Nug."""
+    """Whether vertex 0 is the lowest vertex of every vertex's component, cached on the Nug."""
     if nug._connected is None:
-        seen = bytearray(nug.n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in nug.neighbor_lists[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    queue.append(u)
-        nug._connected = count == nug.n
+        nug._connected = not _component_minima(nug.n, nug.edge_i, nug.edge_j).any()
     return nug._connected
 
 

@@ -45,6 +45,11 @@ class TestCount:
         assert code == 1
         assert "intractable" in capsys.readouterr().err
 
+    def test_negative_ao_cap_is_usage_error(self, capsys):
+        assert main(["count", "--rows", "2", "--cols", "2", "--what", "orientations",
+                     "--ao-cap", "-1"]) == 2
+        assert "--ao-cap must be at least 0, got -1" in capsys.readouterr().err
+
     def test_graph_and_lattice_conflict(self, tmp_path):
         g = write_cycle4(tmp_path / "g.csv")
         assert main(["count", "--graph", str(g), "--rows", "2", "--cols", "2",
@@ -388,6 +393,19 @@ class TestCrossval:
                      "--models", "amrf", "--holdout", "1", "--iterations", "1", "--out", str(out)])
         assert code == 2
         assert "at least one row and one column" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--holdout", "0"), ("--iterations", "0"),
+                                             ("--iterations", "-2")])
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        data = write_ratings(tmp_path / "y.csv", [(0, 1), (1, 0)])
+        out = tmp_path / "cv.csv"
+        args = {"--holdout": "1", "--iterations": "1", flag: value}
+        code = main(["crossval", "--rows", "2", "--cols", "2", "--data", str(data),
+                     "--models", "amrf", "--out", str(out)]
+                    + [part for item in args.items() for part in item])
+        assert code == 2
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_holdout_exceeds_rated_units(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from dagmix import (
     exact_posterior_oracle,
     generate_dataset,
     joint_beta_oracle,
-    kac_ward_log_partition,
+    mrf_log_partition,
     mrf_full_conditional,
     posterior_mean_accuracy,
     posterior_rmse_T,
@@ -345,6 +346,14 @@ class TestCrossValidation:
             cross_validate(obs, nug, 2, 1, McmcConfig(iterations=20, burn_in=10),
                            models=(AMRF,), seed=24)
 
+    @pytest.mark.parametrize("iterations", [0, -2])
+    def test_iterations_below_one_rejected(self, iterations):
+        nug = build_lattice_nug(LatticeSpec(2, 2, "first"))
+        obs = quiet_obs([[1], [0], [], []], n=4)
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            cross_validate(obs, nug, 1, iterations, McmcConfig(iterations=20, burn_in=10),
+                           models=(AMRF,), seed=24)
+
     def test_csv_format(self):
         buf = io.StringIO()
         crossval_to_csv([CrossValRecord(0, "amrf", 0.25)], buf)
@@ -432,27 +441,42 @@ class TestOracle:
         assert ao.n_components == 14
 
 
-class TestKacWard:
-    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (3, 4), (4, 4)])
-    def test_matches_enumeration(self, rows, cols):
-        spec = LatticeSpec(rows, cols, "first")
-        nug = build_lattice_nug(spec)
-        fields = field_matrix(nug.n)
-        ends = np.array(nug.edges)
-        t = (fields[:, ends[:, 0]] == fields[:, ends[:, 1]]).sum(axis=1)
-        for beta in (0.0, 0.3, 0.9, 2.0):
-            want = float(logsumexp(beta * t))
-            assert kac_ward_log_partition(spec, beta) == pytest.approx(want, rel=0, abs=1e-12)
+class TestMrfLogPartition:
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_matches_enumeration(self, order):
+        # every lattice of at most 16 cells, each shape in both orientations
+        for rows, cols in [(r, c) for r in range(1, 17) for c in range(1, 16 // r + 1)]:
+            spec = LatticeSpec(rows, cols, order)
+            nug = build_lattice_nug(spec)
+            fields = (np.arange(2**nug.n)[:, None] >> np.arange(nug.n)) & 1
+            t = (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
+            for beta in (0.0, 0.3, 0.9, 2.0):
+                want = float(logsumexp(beta * t))
+                got = mrf_log_partition(spec, beta)
+                assert got == pytest.approx(want, rel=0, abs=1e-12), (spec, beta)
 
-    def test_single_cell_and_chain(self):
-        assert kac_ward_log_partition(LatticeSpec(1, 1), 0.7) == pytest.approx(math.log(2))
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_single_cell_and_chain(self, order):
+        assert mrf_log_partition(LatticeSpec(1, 1, order), 0.7) == pytest.approx(math.log(2))
         # a path of 4 cells: Z = 2 (1 + e^beta)^3
         want = math.log(2) + 3 * math.log1p(math.exp(0.7))
-        assert kac_ward_log_partition(LatticeSpec(1, 4), 0.7) == pytest.approx(want, abs=1e-12)
+        assert mrf_log_partition(LatticeSpec(1, 4, order), 0.7) == pytest.approx(want, abs=1e-12)
+        assert mrf_log_partition(LatticeSpec(4, 1, order), 0.7) == pytest.approx(want, abs=1e-12)
+        # e^beta overflows a double past beta 709, so no factor may exceed 1
+        want = math.log(2) + 3 * 1000.0
+        assert mrf_log_partition(LatticeSpec(1, 4, order), 1000.0) == pytest.approx(want, rel=1e-15)
 
-    def test_second_order_rejected(self):
-        with pytest.raises(ValueError, match="first-order"):
-            kac_ward_log_partition(LatticeSpec(3, 3, "second"), 0.3)
+    @pytest.mark.parametrize("rows, cols, order", [(21, 21, "first"), (20, 20, "second"),
+                                                   (40, 21, "first")])
+    def test_width_cap_raises_before_allocating(self, rows, cols, order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntractableError, match="exceeds the cap 20"):
+                mrf_log_partition(LatticeSpec(rows, cols, order), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 def _spanning_tree_prior_by_enumeration(nug, fields, beta):

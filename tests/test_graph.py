@@ -1,5 +1,3 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -297,11 +295,13 @@ class TestConnectivity:
         nug = Nug(4, edges)
         searches = []
 
-        def counting_deque(items):
-            searches.append(items)
-            return deque(items)
+        label_components = graph._component_minima
 
-        monkeypatch.setattr(graph, "deque", counting_deque)
+        def counting_labels(n, i, j):
+            searches.append(n)
+            return label_components(n, i, j)
+
+        monkeypatch.setattr(graph, "_component_minima", counting_labels)
         assert [is_connected(nug) for _ in range(3)] == [connected] * 3
         assert len(searches) == 1
 

@@ -44,8 +44,8 @@ from dagmix.experiments import (
     all_fields as field_matrix,
     exact_posterior_oracle,
     joint_beta_oracle,
-    kac_ward_log_partition,
     ks_distance,
+    mrf_log_partition,
 )
 from dagmix.samplers import (
     ALL_MODELS,
@@ -138,11 +138,9 @@ class TestGibbsZ:
                     assert swept.tolist() == by_hand.tolist()
                     z = swept
 
-    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
-    def test_mrf_sweep_rejects_negative_beta(self, model, lattice22, obs22):
+    def test_mrf_sweep_rejects_negative_beta(self, lattice22, obs22):
         # both MRF models reach the z sweep with no DAG, so the sweep alone
         # must refuse a negative beta for either of them
-        assert model in (AMRF, EXACT_MRF)
         z = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError, match="nonnegative"):
             gibbs_update_z(z, lattice22, None, -0.1, NoiseParams(0.2, 0.8), obs22,
@@ -630,17 +628,22 @@ class TestCftp:
             counts[index[tuple(int(v) for v in z)]] += 1
         assert 0.5 * np.abs(counts / draws - target).sum() < 0.02
 
-    @pytest.mark.parametrize("beta, draws", [(0.6, 4000), (0.8, 1000)])
+    @pytest.mark.parametrize("spec, beta, draws", [
+        (LatticeSpec(16, 16, "first"), 0.6, 4000),
+        (LatticeSpec(16, 16, "first"), 0.8, 1000),
+        (LatticeSpec(8, 8, "second"), 0.3, 2000),
+        (LatticeSpec(8, 8, "second"), 0.45, 1000),
+    ], ids=["16x16-first-0.6", "16x16-first-0.8", "8x8-second-0.3", "8x8-second-0.45"])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_lattice_moments_match_kac_ward(self, beta, draws, warm):
-        # Mean and variance of T over 16x16 first-order draws against the
-        # derivatives of the Kac-Ward log Z. The family is 2 betas x 2 paths
+    def test_lattice_moments_match_log_partition(self, spec, beta, draws, warm):
+        # Mean and variance of T over CFTP draws against the derivatives of
+        # the exact log Z. Each order is its own family of 2 betas x 2 paths
         # x 2 moments = 8 two-sided z tests at a family-wise error of 1e-3.
+        # 8x8 second order is criterion 9's lattice; 0.45 is its beta_max.
         bound = norm.isf(1e-3 / (2 * 8))
-        spec = LatticeSpec(16, 16, "first")
         nug = build_lattice_nug(spec)
         h = 1e-4
-        lo, mid, hi = (kac_ward_log_partition(spec, beta + d) for d in (-h, 0.0, h))
+        lo, mid, hi = (mrf_log_partition(spec, beta + d) for d in (-h, 0.0, h))
         mean = (hi - lo) / (2 * h)
         var = (hi - 2 * mid + lo) / h**2
         rng = np.random.default_rng(20)
