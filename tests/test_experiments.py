@@ -48,6 +48,7 @@ from conftest import (
     all_fields,
     brute_force_ao_log_prior,
     brute_force_spanning_trees,
+    kac_ward_log_partition,
     quiet_obs,
     random_connected_nug,
 )
@@ -477,6 +478,29 @@ class TestMrfLogPartition:
         finally:
             tracemalloc.stop()
         assert peak < 2**16
+
+
+class TestKacWard:
+    """The Kac-Ward reference in conftest, and the row sweep against it on
+    first-order lattices too large to enumerate."""
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (3, 3), (3, 4), (4, 4)])
+    def test_matches_enumeration(self, rows, cols):
+        spec = LatticeSpec(rows, cols, "first")
+        nug = build_lattice_nug(spec)
+        fields = field_matrix(nug.n)
+        ends = np.array(nug.edges)
+        t = (fields[:, ends[:, 0]] == fields[:, ends[:, 1]]).sum(axis=1)
+        for beta in (0.0, 0.3, 0.9, 2.0):
+            want = float(logsumexp(beta * t))
+            assert kac_ward_log_partition(spec, beta) == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", [(16, 16), (5, 20), (20, 7)])
+    def test_sweep_matches_kac_ward(self, rows, cols):
+        spec = LatticeSpec(rows, cols, "first")
+        for beta in (0.3, 0.881, 1.5):
+            want = kac_ward_log_partition(spec, beta)
+            assert mrf_log_partition(spec, beta) == pytest.approx(want, rel=0, abs=1e-11)
 
 
 def _spanning_tree_prior_by_enumeration(nug, fields, beta):

@@ -138,9 +138,20 @@ class TestGibbsZ:
                     assert swept.tolist() == by_hand.tolist()
                     z = swept
 
-    def test_mrf_sweep_rejects_negative_beta(self, lattice22, obs22):
+    @pytest.mark.parametrize("model", [AMRF, EXACT_MRF])
+    def test_mrf_sweep_rejects_negative_beta(self, model, lattice22, obs22, monkeypatch):
         # both MRF models reach the z sweep with no DAG, so the sweep alone
         # must refuse a negative beta for either of them
+        dags_seen = []
+        sweep = samplers.gibbs_update_z
+
+        def spy(z, nug, dag, *rest):
+            dags_seen.append(dag)
+            return sweep(z, nug, dag, *rest)
+
+        monkeypatch.setattr(samplers, "gibbs_update_z", spy)
+        run_chain(obs22, lattice22, McmcConfig(iterations=2, burn_in=0, model=model))
+        assert dags_seen == [None, None]
         z = np.zeros(4, dtype=np.uint8)
         with pytest.raises(ValueError, match="nonnegative"):
             gibbs_update_z(z, lattice22, None, -0.1, NoiseParams(0.2, 0.8), obs22,
