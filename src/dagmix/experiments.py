@@ -32,6 +32,7 @@ from .model import (
     NoiseParams,
     Observations,
     PriorSpec,
+    _unit_logliks,
     pseudo_likelihood_log,
     suff_stat_T,
 )
@@ -388,9 +389,7 @@ def all_fields(n) -> np.ndarray:
 
 
 def _field_logliks(obs: Observations, eta: NoiseParams, fields) -> np.ndarray:
-    s, m = obs.s, obs.m
-    ll1 = s * math.log(eta.eta1) + (m - s) * np.log1p(-eta.eta1)
-    ll0 = s * math.log(eta.eta0) + (m - s) * np.log1p(-eta.eta0)
+    ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
     return fields @ (ll1 - ll0) + ll0.sum()
 
 

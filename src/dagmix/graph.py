@@ -354,8 +354,8 @@ def _int_det_bareiss(a) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def count_spanning_trees(nug: Nug, cofactor=None) -> int:
-    """Exact spanning-tree count: any (i, j) cofactor of the Laplacian.
+def count_spanning_trees(nug: Nug) -> int:
+    """Exact spanning-tree count: the (0, 0) cofactor of the Laplacian.
 
     Computed in arbitrary-precision integer arithmetic; a disconnected graph
     (count zero) raises DisconnectedGraphError rather than returning 0.
@@ -364,11 +364,7 @@ def count_spanning_trees(nug: Nug, cofactor=None) -> int:
         raise DisconnectedGraphError("graph is disconnected; spanning tree count is zero")
     if nug.n <= 1:
         return 1
-    i, j = (0, 0) if cofactor is None else cofactor
-    if not (0 <= i < nug.n and 0 <= j < nug.n):
-        raise ValueError("cofactor position out of range")
-    minor = np.delete(np.delete(laplacian(nug), i, axis=0), j, axis=1)
-    return (-1) ** (i + j) * _int_det_bareiss(minor)
+    return _int_det_bareiss(laplacian(nug)[1:, 1:])
 
 
 def count_acyclic_orientations(nug: Nug, max_edges: int = 24) -> int:

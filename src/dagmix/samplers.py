@@ -18,9 +18,6 @@ import numpy as np
 from scipy import special
 
 from .dags import (
-    CLASS_ACYCLIC_ORIENTATION,
-    CLASS_ROOTED,
-    CLASS_SPANNING_TREE,
     Dag,
     acyclic_orientation,
     posterior_spanning_tree,
@@ -234,33 +231,42 @@ def _heat_bath_step(state, classes, thr):
         np.greater_equal(np.add.reduce(state.take(nbrs), 0, thr.dtype), thr[span], out[span])
 
 
-def _draw_dag(nug: Nug, rng, class_tag, rooted_cache=None) -> Dag:
-    """A draw from the class prior: a uniform root or a uniform permutation.
+def _dag_prior(nug: Nug, model):
+    """The chain's draw from its DAG-class prior, as draw(rng); None for amrf and exact-mrf.
 
-    rooted_cache, when given, is a per-root list whose None entries are
-    built on first draw.
+    mdgm-st draws a uniform spanning tree, mdgm-ao orients the NUG by a
+    uniform vertex permutation and mdgm-rooted takes the DAG of a uniform
+    root. The rooted draw keeps the chain's own per-root cache and builds a
+    root's DAG on first use: a k-iteration chain draws at most k + 1 roots,
+    while every root's DAG at 32x32 first order takes about 144 MB, so the
+    cache is not kept on the Nug. Each draw looks up this module's builders
+    when called, so a tracer or test that patches them sees every call.
     """
-    if class_tag == CLASS_ROOTED:
+    if model == MDGM_ST:
+        return lambda rng: uniform_spanning_tree(nug, rng)
+    if model == MDGM_AO:
+        return lambda rng: acyclic_orientation(nug, rng.permutation(nug.n))
+    if model != MDGM_ROOTED:
+        return None
+    cache = [None] * nug.n
+
+    def draw(rng):
         root = int(rng.integers(nug.n))
-        if rooted_cache is None:
-            return rooted_dag(nug, root)
-        if rooted_cache[root] is None:
-            rooted_cache[root] = rooted_dag(nug, root)
-        return rooted_cache[root]
-    if class_tag == CLASS_ACYCLIC_ORIENTATION:
-        return acyclic_orientation(nug, rng.permutation(nug.n))
-    raise ValueError(f"MH DAG update is for rooted/orientation classes, not {class_tag!r}")
+        if cache[root] is None:
+            cache[root] = rooted_dag(nug, root)
+        return cache[root]
+
+    return draw
 
 
-def mh_update_dag(z, nug: Nug, dag: Dag, beta, rng, rooted_cache=None):
-    """Independence MH move on the DAG, proposing from the prior of dag.class_tag.
+def mh_update_dag(z, dag: Dag, beta, rng, propose):
+    """Independence MH move on the DAG, proposing propose(rng).
 
-    Proposal and prior cancel (uniform root for the rooted class; uniform
-    permutation for orientations), leaving the prior-likelihood ratio
-    p(z|D*, beta) / p(z|D, beta). rooted_cache is as in _draw_dag. Any
-    other class raises ValueError before a random number is drawn.
+    propose is the chain's draw from its DAG-class prior (_dag_prior: a
+    uniform root or a uniform permutation). Proposal and prior cancel,
+    leaving the prior-likelihood ratio p(z|D*, beta) / p(z|D, beta).
     """
-    proposal = _draw_dag(nug, rng, dag.class_tag, rooted_cache)
+    proposal = propose(rng)
     log_ratio = log_dgm_prior(z, proposal, beta) - log_dgm_prior(z, dag, beta)
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
@@ -348,7 +354,7 @@ class HorizonHistogram:
             self.recent = [c >> 1 for c in self.recent]
 
 
-def cftp_ising(nug: Nug, beta, rng, step_cap=CFTP_STEP_CAP, validate=False, horizons=None):
+def cftp_ising(nug: Nug, beta, rng, step_cap=CFTP_STEP_CAP, horizons=None):
     """Perfect draw from p(z) ~ exp(beta * T(z)) by coupling from the past.
 
     Monotone sandwich of the all-zeros and all-ones chains under shared
@@ -412,11 +418,6 @@ def cftp_ising(nug: Nug, beta, rng, step_cap=CFTP_STEP_CAP, validate=False, hori
         for block in reversed(blocks):
             for thr in block:
                 _heat_bath_step(state, classes, thr)
-                # a step writes each site once, and the site keeps that value
-                # to the step's end, so an order violation after any class
-                # still shows here
-                if validate and not (state[positions[0]] <= state[positions[1]]).all():
-                    raise AssertionError("sandwich ordering violated")
                 updates += 2 * n
                 if updates > step_cap:
                     raise CoalescenceError(
@@ -469,9 +470,8 @@ def gibbs_update_eta(obs: Observations, z, eta: NoiseParams, priors: PriorSpec, 
     return NoiseParams(eta0=eta0, eta1=eta1), stalled1 + stalled0
 
 
-def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
-                   class_tag, rooted_cache):
-    """The chain's starting (z, dag, beta, eta); dag is a draw from class_tag's prior, or None."""
+def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng):
+    """The chain's starting (z, beta, eta)."""
     init = config.init
     if init.eta is not None:
         eta = NoiseParams(float(init.eta[0]), float(init.eta[1]))
@@ -500,13 +500,7 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng,
         if ((z != 0) & (z != 1)).any():
             raise ValueError("initial z must hold only 0 and 1")
         z = z.astype(np.uint8)
-    if class_tag == CLASS_SPANNING_TREE:
-        dag = uniform_spanning_tree(nug, rng)
-    elif class_tag is not None:
-        dag = _draw_dag(nug, rng, class_tag, rooted_cache)
-    else:
-        dag = None
-    return z, dag, beta, eta
+    return z, beta, eta
 
 
 def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSamples:
@@ -525,11 +519,9 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
         raise ValueError("the NUG must be connected")
     rng = np.random.default_rng(config.seed)
     model = config.model
-    class_tag = {MDGM_ST: CLASS_SPANNING_TREE, MDGM_ROOTED: CLASS_ROOTED,
-                 MDGM_AO: CLASS_ACYCLIC_ORIENTATION}.get(model)
-    # A k-iteration chain draws at most k + 1 roots: build each on first use.
-    rooted_cache = [None] * nug.n if model == MDGM_ROOTED else None
-    z, dag, beta, eta = _initial_state(obs, nug, config, rng, class_tag, rooted_cache)
+    z, beta, eta = _initial_state(obs, nug, config, rng)
+    draw_dag = _dag_prior(nug, model)
+    dag = None if draw_dag is None else draw_dag(rng)
     horizons = HorizonHistogram() if model == EXACT_MRF else None
 
     keep = config.iterations - config.burn_in
@@ -549,7 +541,7 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
             if model == MDGM_ST:  # exact conditional draws: always accepted
                 dag, ok = direct_update_st(z, nug, beta, rng), True
             else:
-                dag, ok = mh_update_dag(z, nug, dag, beta, rng, rooted_cache)
+                dag, ok = mh_update_dag(z, dag, beta, rng, draw_dag)
             accept["dag"][0] += ok
             accept["dag"][1] += 1
 

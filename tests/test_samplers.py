@@ -218,8 +218,9 @@ class TestMhDag:
     def test_flat_ratio_always_accepts(self, cycle4):
         rng = np.random.default_rng(2)
         dag = rooted_dag(cycle4, 0)
+        propose = samplers._dag_prior(cycle4, MDGM_ROOTED)
         for _ in range(100):
-            dag, accepted = mh_update_dag([0, 1, 0, 1], cycle4, dag, 0.0, rng)
+            dag, accepted = mh_update_dag([0, 1, 0, 1], dag, 0.0, rng, propose)
             assert accepted
 
     def test_rooted_stationary_distribution(self, cycle4):
@@ -229,12 +230,12 @@ class TestMhDag:
         logw = np.array([log_dgm_prior(z, d, beta) for d in dags])
         target = np.exp(logw - logsumexp(logw))
         rng = np.random.default_rng(3)
-        cache = dags
+        propose = samplers._dag_prior(cycle4, MDGM_ROOTED)
         dag = dags[0]
         counts = np.zeros(4)
         steps = 30000
         for _ in range(steps):
-            dag, _ = mh_update_dag(z, cycle4, dag, beta, rng, rooted_cache=cache)
+            dag, _ = mh_update_dag(z, dag, beta, rng, propose)
             counts[dag.root] += 1
         tv = 0.5 * np.abs(counts / steps - target).sum()
         assert tv < 0.02
@@ -249,11 +250,12 @@ class TestMhDag:
         ])
         target = np.exp(logw - logsumexp(logw))
         rng = np.random.default_rng(4)
+        propose = samplers._dag_prior(triangle, MDGM_AO)
         dag = mixture[0][0]
         counts = Counter()
         steps = 30000
         for _ in range(steps):
-            dag, _ = mh_update_dag(z, triangle, dag, beta, rng)
+            dag, _ = mh_update_dag(z, dag, beta, rng, propose)
             counts[frozenset(dag.directed_edges())] += 1
         empirical = np.array([counts.get(k, 0) / steps for k in keys])
         tv = 0.5 * np.abs(empirical - target).sum()
@@ -275,25 +277,17 @@ class TestMhDag:
                 if a == b or hists[a] != hists[b]:
                     continue
                 rng, twin = np.random.default_rng(a), np.random.default_rng(a)
-                cache = [dags[b]] * nug.n
-                got, accepted = mh_update_dag(z, nug, dags[a], 0.4, rng, cache)
+
+                def propose(r, b=b):  # draws a root, as the rooted prior does, but proposes b
+                    r.integers(nug.n)
+                    return dags[b]
+
+                got, accepted = mh_update_dag(z, dags[a], 0.4, rng, propose)
                 twin.integers(nug.n)
                 assert got is dags[b] and accepted
                 assert rng.random() == twin.random()
                 ties += 1
         assert ties > 0
-
-    @pytest.mark.parametrize("tag", ["spanning-tree", "general"])
-    def test_other_classes_raise_before_drawing(self, tag, cycle4):
-        # the move proposes from the prior of the DAG's own class, which
-        # exists only for rooted DAGs and orientations
-        dag = (tree_dag(4, [(0, 1), (1, 2), (2, 3)], root=0) if tag == "spanning-tree"
-               else Dag([[], [0], [1], [2]]))
-        assert dag.class_tag == tag
-        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        with pytest.raises(ValueError, match=tag):
-            mh_update_dag([0, 1, 0, 1], cycle4, dag, 0.5, rng)
-        assert rng.random() == twin.random()
 
 
 def _grid_cdf(grid, log_density):
@@ -518,15 +512,14 @@ _REFERENCE_GRAPHS = {
 
 class TestCftp:
     @pytest.mark.parametrize("name", sorted(_REFERENCE_GRAPHS))
-    @pytest.mark.parametrize("validate", [False, True])
-    def test_matches_reference_kernel(self, name, validate):
+    def test_matches_reference_kernel(self, name):
         nug = _REFERENCE_GRAPHS[name]
         for beta in (0.0, 0.1, 0.44, 0.9):
             for seed in range(5):
                 for cap in (64, 2**14):
-                    kw = dict(step_cap=cap, validate=validate)
-                    want, want_next = _cftp_outcome(_reference_cftp, nug, beta, seed, **kw)
-                    got, got_next = _cftp_outcome(cftp_ising, nug, beta, seed, **kw)
+                    want, want_next = _cftp_outcome(_reference_cftp, nug, beta, seed,
+                                                    step_cap=cap, validate=True)
+                    got, got_next = _cftp_outcome(cftp_ising, nug, beta, seed, step_cap=cap)
                     assert (want is None) == (got is None)
                     if want is not None:
                         assert got.dtype == np.uint8
@@ -555,11 +548,24 @@ class TestCftp:
         tv = 0.5 * np.abs(counts / draws - target).sum()
         assert tv < 0.03
 
-    def test_sandwich_monotonicity_validated(self):
-        nug = build_lattice_nug(LatticeSpec(4, 4, "second"))
+    def test_heat_bath_step_keeps_sandwich_order(self):
+        # cftp_ising's sandwich: from any lower <= upper pair, steps whose
+        # thresholds a site's two copies share keep lower <= upper
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            cftp_ising(nug, 0.5, rng, validate=True)
+        for name in ("4x4-second", "5x7-first", "star-300"):
+            nug = _REFERENCE_GRAPHS[name]
+            classes, positions, order = nug.class_layout(2)
+            count_type = np.min_scalar_type(nug.degrees.max() + 1)
+            for _ in range(20):
+                state = np.zeros(2 * nug.n + 1, dtype=np.uint8)
+                lower = rng.integers(0, 2, nug.n, dtype=np.uint8)
+                state[positions[0]] = lower
+                state[positions[1]] = lower | rng.integers(0, 2, nug.n, dtype=np.uint8)
+                for _ in range(5):
+                    # a threshold above the degree keeps its site at zero
+                    thr = rng.integers(0, nug.degrees + 2).astype(count_type)
+                    samplers._heat_bath_step(state, classes, thr[order])
+                    assert (state[positions[0]] <= state[positions[1]]).all()
 
     def test_mean_T_monotone_in_beta(self):
         nug = build_lattice_nug(LatticeSpec(8, 8, "first"))
@@ -798,6 +804,8 @@ class TestRunChain:
         assert ks_distance(samples.beta, oracle) < 0.02
 
     def test_rooted_dags_built_on_first_use(self, monkeypatch):
+        # each chain keeps its own cache, never the Nug: every root's DAG at
+        # 32x32 first order, with its child lists, takes about 144 MB
         nug = build_lattice_nug(LatticeSpec(6, 6, "first"))
         roots = []
 
@@ -807,10 +815,23 @@ class TestRunChain:
 
         monkeypatch.setattr(samplers, "rooted_dag", counting_rooted_dag)
         obs = quiet_obs([[1, 0]] * nug.n)
-        run_chain(obs, nug, McmcConfig(iterations=5, burn_in=0, seed=3, model=MDGM_ROOTED))
+        cfg = McmcConfig(iterations=5, burn_in=0, seed=3, model=MDGM_ROOTED)
+        run_chain(obs, nug, cfg)
         # the initial DAG plus at most one new root per iteration, each built once
         assert 1 <= len(roots) <= 6
         assert len(roots) == len(set(roots))
+        first = list(roots)
+        run_chain(obs, nug, cfg)
+        assert roots == first + first
+
+        def holds_dag(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, (list, tuple)):
+                return any(holds_dag(v) for v in value)
+            return isinstance(value, Dag)
+
+        assert not any(holds_dag(getattr(nug, name, None)) for name in type(nug).__slots__)
 
     def test_chain_dags_skip_boundary_validation(self, lattice22, obs22, monkeypatch):
         def forbidden(self):

@@ -70,14 +70,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
 from dagmix.dags import (  # noqa: E402
-    CLASS_ACYCLIC_ORIENTATION,
     posterior_spanning_tree,
     rooted_dag,
     skeleton,
     uniform_spanning_tree,
 )
 from dagmix.graph import Nug, load_nug, save_nug  # noqa: E402
-from dagmix.samplers import ALL_MODELS, EXACT_MRF, _draw_dag, cftp_ising  # noqa: E402
+from dagmix.samplers import ALL_MODELS, EXACT_MRF, MDGM_AO, _dag_prior, cftp_ising  # noqa: E402
 
 
 def digests():
@@ -187,8 +186,9 @@ def orient_digest():
             LatticeSpec(16, 16, "second"), LatticeSpec(32, 32, "first"))]
     for nug in nugs + [irregular_nug()]:
         rng = np.random.default_rng(7)
+        propose = _dag_prior(nug, MDGM_AO)
         for _ in range(50):
-            dag = _draw_dag(nug, rng, CLASS_ACYCLIC_ORIENTATION)
+            dag = propose(rng)
             for a in (dag.edge_child, dag.edge_parent, dag.in_degree):
                 h.update(a.dtype.str.encode() + a.tobytes())
             h.update(repr(dag.flat_children()).encode())
