@@ -15,7 +15,8 @@ import functools
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Nug, _component_minima, _split, _trusted_nug, is_connected
+from .graph import (DisconnectedGraphError, Nug, _component_minima, _parse_int, _records, _split,
+                    _trusted_nug, is_connected)
 
 CLASS_SPANNING_TREE = "spanning-tree"
 CLASS_ROOTED = "rooted"
@@ -394,51 +395,34 @@ def dag_to_csv(dag: Dag, path) -> None:
             fh.write(f"{child},{parent}\n")
 
 
-def _parse_int(text, lineno, what):
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
-
-
-def dag_from_csv(path, n=None) -> Dag:
+def dag_from_csv(path) -> Dag:
     """Inverse of dag_to_csv.
 
-    When n is omitted it is taken from the `# n=` header, else inferred from
-    the edges. A non-integer field or an edge outside [0, n) raises
-    ValueError with its line number.
+    The vertex count comes from the `# n=` header, else from the edges. A
+    malformed line, a self-loop or an edge outside [0, n) raises ValueError
+    naming the first bad line.
     """
-    root = None
-    class_tag = CLASS_GENERAL
-    header_n = None
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    key, _, value = token.partition("=")
-                    if key == "root" and value:
-                        root = _parse_int(value, lineno, "root")
-                    elif key == "class" and value:
-                        class_tag = value
-                    elif key == "n" and value:
-                        header_n = _parse_int(value, lineno, "vertex count")
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
+    root, n, class_tag, pairs, bad = None, None, CLASS_GENERAL, [], None
+    try:
+        for lineno, rec in _records(path):
+            if isinstance(rec, str):
+                header = dict(token.partition("=")[::2] for token in rec.split())
+                root = _parse_int(header["root"], lineno, "root") if header.get("root") else root
+                n = _parse_int(header["n"], lineno, "vertex count") if header.get("n") else n
+                class_tag = header.get("class") or class_tag
+            elif len(rec) != 2:
                 raise ValueError(f"line {lineno}: expected 'child,parent'")
-            child, parent = (_parse_int(p, lineno, "vertex index") for p in parts)
-            pairs.append((lineno, child, parent))
-    if n is None:
-        n = header_n
+            else:
+                pairs.append((lineno, *(_parse_int(f, lineno, "vertex index") for f in rec)))
+    except ValueError as exc:
+        bad = exc  # raised below, unless an edge above it is out of range or a self-loop
     if n is None:
         n = 1 + max((max(c, p) for _, c, p in pairs), default=root if root is not None else -1)
     parents = [[] for _ in range(n)]
     for lineno, child, parent in pairs:
-        if not (0 <= child < n and 0 <= parent < n):
-            raise ValueError(f"line {lineno}: edge {child},{parent} out of range for n={n}")
+        if not (0 <= child < n and 0 <= parent < n) or child == parent:
+            raise ValueError(f"line {lineno}: edge {child},{parent} outside [0, {n}) or a self-loop")
         parents[child].append(parent)
+    if bad:
+        raise bad
     return Dag(parents, class_tag=class_tag, root=root)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -32,6 +31,7 @@ from .model import (
     NoiseParams,
     Observations,
     PriorSpec,
+    _quiet_observations,
     _unit_logliks,
     pseudo_likelihood_log,
     suff_stat_T,
@@ -52,6 +52,13 @@ from .samplers import (
 
 # Stable small codes for deriving per-model RNG streams.
 MODEL_CODES = {name: k for k, name in enumerate(ALL_MODELS)}
+
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_LEVEL = 0.90  # bootstrap_ci's 5th to 95th percentile interval
+ORACLE_MAX_N = 12  # exact_posterior_oracle enumerates 2^n fields
+JOINT_ORACLE_MAX_N = 10  # joint_beta_oracle: 2^n fields at each grid point
+JOINT_ORACLE_GRID = 801  # joint_beta_oracle's uniform beta grid size
+PSEUDO_MASS_MAX_N = 16  # pseudo_prior_mass sums 2^n fields in Python
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,6 @@ class BootstrapCI:
     point: float
     lo: float
     hi: float
-    level: float = 0.90
-    resamples: int = 1000
 
     def __post_init__(self):
         if not (self.lo <= self.point <= self.hi):
@@ -145,9 +150,7 @@ def generate_dataset(config: SimConfig, rng, nug: Nug | None = None):
         (rng.random(int(m[i])) < p[i]).astype(np.int64) if m[i] > 0 else []
         for i in range(nug.n)
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return z_true, Observations(y_lists, n=nug.n)
+    return z_true, _quiet_observations(y_lists, nug.n)
 
 
 def posterior_mean_accuracy(samples: PosteriorSamples, z_true) -> float:
@@ -164,18 +167,17 @@ def posterior_rmse_T(samples: PosteriorSamples, z_true, nug: Nug) -> float:
     return float(np.sqrt(np.mean((samples.T - t_true) ** 2)))
 
 
-def bootstrap_ci(per_replication_stats, rng, resamples=1000, level=0.90) -> BootstrapCI:
-    """Resample-mean percentile interval (5th/95th at the default level)."""
+def bootstrap_ci(per_replication_stats, rng) -> BootstrapCI:
+    """Resample-mean percentile interval at BOOTSTRAP_LEVEL from BOOTSTRAP_RESAMPLES resamples."""
     arr = np.asarray(per_replication_stats, dtype=np.float64)
     r = len(arr)
     if r < 2:
         raise ValueError("bootstrap needs at least two replications")
-    means = arr[rng.integers(0, r, size=(resamples, r))].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    means = arr[rng.integers(0, r, size=(BOOTSTRAP_RESAMPLES, r))].mean(axis=1)
+    alpha = (1.0 - BOOTSTRAP_LEVEL) / 2.0
     lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
     point = float(arr.mean())
-    return BootstrapCI(point=point, lo=min(float(lo), point), hi=max(float(hi), point),
-                       level=level, resamples=resamples)
+    return BootstrapCI(point=point, lo=min(float(lo), point), hi=max(float(hi), point))
 
 
 def _chain_seed(root_seed, *key):
@@ -356,9 +358,7 @@ def cross_validate(obs: Observations, nug: Nug, holdout_count: int, iterations: 
         held = np.sort(part_rng.choice(rated, size=holdout_count, replace=False))
         held_set = set(int(v) for v in held)
         y_train = [([] if i in held_set else obs.y[i]) for i in range(obs.n)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            train = Observations(y_train, n=obs.n)
+        train = _quiet_observations(y_train, obs.n)
         observed_mean = obs.s[held] / obs.m[held]
         for model in models:
             cfg = replace(mcmc, model=model,
@@ -485,7 +485,7 @@ class OracleResult:
 
 
 def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
-                           model, max_n=12) -> OracleResult:
+                           model) -> OracleResult:
     """Exact fixed-beta posterior marginals P(z_i = 1 | y) by full enumeration.
 
     The exact MRF and amrf share the same fixed-beta z-posterior (the
@@ -493,8 +493,8 @@ def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
     mixtures are summed exactly as in _log_prior_table; n_components is the
     number of spanning trees, rooted DAGs or acyclic orientations.
     """
-    if nug.n > max_n:
-        raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
+    if nug.n > ORACLE_MAX_N:
+        raise IntractableError(f"n={nug.n} exceeds the oracle cap {ORACLE_MAX_N}")
     fields = all_fields(nug.n)
     log_prior, n_components = _log_prior_table(nug, fields, [beta], model)
     log_w = _field_logliks(obs, eta, fields) + log_prior[0]
@@ -510,14 +510,14 @@ def exact_posterior_oracle(obs: Observations, nug: Nug, beta, eta: NoiseParams,
     )
 
 
-def pseudo_prior_mass(nug: Nug, beta, max_n=16) -> float:
+def pseudo_prior_mass(nug: Nug, beta) -> float:
     """Sum over all fields of the exponentiated pseudo-likelihood.
 
     Equals 1 at beta = 0 and deviates from 1 for beta > 0; the
     pseudo-likelihood is not a probability distribution.
     """
-    if nug.n > max_n:
-        raise IntractableError(f"n={nug.n} exceeds the enumeration cap {max_n}")
+    if nug.n > PSEUDO_MASS_MAX_N:
+        raise IntractableError(f"n={nug.n} exceeds the enumeration cap {PSEUDO_MASS_MAX_N}")
     fields = all_fields(nug.n)
     return float(sum(math.exp(pseudo_likelihood_log(z, nug, beta)) for z in fields))
 
@@ -534,7 +534,7 @@ class BetaOracle:
 
 
 def joint_beta_oracle(obs: Observations, nug: Nug, eta: NoiseParams, model,
-                      priors: PriorSpec, grid_size=801, max_n=10) -> BetaOracle:
+                      priors: PriorSpec) -> BetaOracle:
     """Quadrature oracle for chains with free beta and z at fixed eta.
 
     Returns the exact beta-posterior density/CDF on a uniform grid over the
@@ -547,10 +547,10 @@ def joint_beta_oracle(obs: Observations, nug: Nug, eta: NoiseParams, model,
     if model == AMRF:
         raise ValueError(f"{AMRF!r} has no joint (beta, z) target: its z and beta "
                          "moves use the MRF conditionals and the pseudo-likelihood")
-    if nug.n > max_n:
-        raise IntractableError(f"n={nug.n} exceeds the oracle cap {max_n}")
+    if nug.n > JOINT_ORACLE_MAX_N:
+        raise IntractableError(f"n={nug.n} exceeds the oracle cap {JOINT_ORACLE_MAX_N}")
     fields = all_fields(nug.n)
-    grid = np.linspace(0.0, priors.beta_max, grid_size)
+    grid = np.linspace(0.0, priors.beta_max, JOINT_ORACLE_GRID)
     log_prior, _ = _log_prior_table(nug, fields, grid, model)
     log_w = _field_logliks(obs, eta, fields) + log_prior
     # Uniform beta prior: posterior density over beta is total mass, normalized.

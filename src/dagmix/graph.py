@@ -64,27 +64,17 @@ class Nug:
     def __init__(self, n, edges, weights=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        wmap = {}
-        for e in edges:
-            i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            key = (i, j) if i < j else (j, i)
-            if key in wmap:
-                raise ValueError(f"duplicate edge {key}")
-            wmap[key] = 1
-        if weights is not None:
-            for e, w in weights.items():
-                i, j = e
-                key = (i, j) if i < j else (j, i)
-                if key not in wmap:
-                    raise ValueError(f"weight given for missing edge {key}")
-                if w not in (1, 2):
-                    raise ValueError(f"edge weight must be 1 or 2, got {w}")
-                wmap[key] = w
-        self._set_arrays(n, *_edge_arrays(wmap))
+        i, j = np.sort(np.array(list(edges), dtype=np.intp).reshape(-1, 2), axis=1).T
+        w = np.ones(len(i), dtype=object)  # each weight as given, so that "2" or 1.5 fails
+        slot = dict(zip(zip(i.tolist(), j.tolist()), range(len(i))))
+        for (a, b), wt in (weights or {}).items():
+            k = slot.get((a, b) if a < b else (b, a))
+            if k is None:
+                raise ValueError(f"weight given for missing edge {(a, b)}")
+            w[k] = wt
+        if fault := _edge_fault(n, i, j, w):
+            raise ValueError(fault[1])
+        self._set_arrays(n, i, j, w.astype(np.intp))
 
     def _set_arrays(self, n, i, j, w):
         """Fill every form from edge arrays with i < j on each edge, in any order."""
@@ -208,10 +198,18 @@ def _trusted_nug(n, i, j, w) -> Nug:
     return nug
 
 
-def _edge_arrays(weights):
-    """(i, j, w) index arrays of a {(i, j): w} map."""
-    pairs = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1], np.fromiter(weights.values(), np.intp, len(weights))
+def _edge_fault(n, i, j, w):
+    """(k, why) for the first edge k (i[k] <= j[k], weight w[k]) that breaks a NUG rule, or None."""
+    order = np.lexsort((j, i))  # stable: of a repeated pair, the first listing sorts first
+    repeat = np.zeros(len(i), dtype=bool)
+    repeat[order[1:]] = (np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)
+    rules = {"self-loop at vertex {a}": i == j,
+             "vertex index out of range in edge ({a},{b}) for n={n}": (i < 0) | (j >= n),
+             "duplicate edge ({a}, {b})": repeat,
+             "edge weight must be 1 or 2, got {w}": (w != 1) & (w != 2)}
+    for k in np.flatnonzero(np.logical_or.reduce(list(rules.values())))[:1]:  # the first, if any
+        why = next(why for why, rule in rules.items() if rule[k])
+        return k, why.format(a=i[k], b=j[k], n=n, w=w[k])
 
 
 def _split(flat, counts):
@@ -236,57 +234,59 @@ def build_lattice_nug(spec: LatticeSpec) -> Nug:
     return _trusted_nug(r * c, i, j, w)
 
 
-def load_nug(path, n=None) -> Nug:
+def _records(path):
+    """(lineno, record) per nonblank line: a `#` line's text, else its stripped comma fields."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    for lineno, line in enumerate(map(str.strip, lines), start=1):
+        if line[:1] == "#":
+            yield lineno, line[1:]
+        elif line:
+            yield lineno, list(map(str.strip, line.split(",")))
+
+
+def _parse_int(text, lineno, what, error=ValueError):
+    """int(text), else an `error` that names the line and the field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
+
+
+def load_nug(path) -> Nug:
     """Read an edge list: one `i,j[,w]` line per edge, `#` comments ignored.
 
-    Weights default to 1. When n is omitted it is taken from a `# n=<count>`
+    Weights default to 1. The vertex count is taken from a `# n=<count>`
     header before the first edge (as written by save_nug), else inferred as
-    max index + 1. Parse errors report the offending 1-based line number.
+    max index + 1. Errors name the first bad line (1-based).
     """
-    if n is not None and n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    weights = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    n, rows, malformed = None, [], False
+    for lineno, rec in _records(path):
+        if isinstance(rec, str):
+            key, _, value = rec.partition("=")
+            if n is None and not rows and key.strip() == "n":
+                n = _parse_int(value, lineno, "vertex count", GraphFormatError)
+                if n < 0:
+                    raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+            continue
+        try:
+            if len(rec) in (2, 3):
+                rows += lineno, int(rec[0]), int(rec[1]), int(rec[2]) if len(rec) == 3 else 1
                 continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if n is None and not weights and key.strip() == "n":
-                    try:
-                        n = int(value)
-                    except ValueError:
-                        raise GraphFormatError(f"line {lineno}: bad vertex count {value!r}") from None
-                    if n < 0:
-                        raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(f"line {lineno}: expected 'i,j[,w]', got {line!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: vertex indices must be integers") from None
-            if i == j:
-                raise GraphFormatError(f"line {lineno}: self-loop at vertex {i}")
-            if i < 0 or j < 0 or (n is not None and (i >= n or j >= n)):
-                raise GraphFormatError(f"line {lineno}: vertex index out of range")
-            key = (i, j) if i < j else (j, i)
-            if key in weights:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-            w = 1
-            if len(parts) == 3:
-                try:
-                    w = int(parts[2])
-                except ValueError:
-                    raise GraphFormatError(f"line {lineno}: weight must be an integer") from None
-                if w not in (1, 2):
-                    raise GraphFormatError(f"line {lineno}: weight must be 1 or 2, got {w}")
-            weights[key] = w
-    i, j, w = _edge_arrays(weights)
-    if n is None:
-        n = 1 + int(j.max(initial=-1))
+        except ValueError:
+            pass
+        malformed = True  # reported below, unless an edge above it breaks a rule
+        break
+    lines, a, b, w = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    n = 1 + int(j.max(initial=-1)) if n is None else n
+    if fault := _edge_fault(n, i, j, w):
+        raise GraphFormatError(f"line {lines[fault[0]]}: {fault[1]}")
+    if malformed:  # lineno and rec still hold the malformed line
+        if len(rec) not in (2, 3):
+            raise GraphFormatError(f"line {lineno}: expected 'i,j[,w]', got {','.join(rec)!r}")
+        for text, what in zip(rec, ("vertex index", "vertex index", "weight")):
+            _parse_int(text, lineno, what, GraphFormatError)
     return _trusted_nug(n, i, j, w)
 
 

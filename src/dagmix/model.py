@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dags import Dag
-from .graph import Nug
+from .graph import Nug, _parse_int, _records
 
 
 class Observations:
@@ -76,32 +76,29 @@ def load_observations(path, n, id_to_index=None) -> Observations:
     unit_id strings are mapped through id_to_index when given, otherwise
     they must be integer indices in [0, n).
     """
-    y_lists = [[] for _ in range(n)]
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'unit_id,value'")
-            uid, val = parts
-            if id_to_index is not None:
-                if uid not in id_to_index:
-                    raise ValueError(f"line {lineno}: unknown unit id {uid!r}")
-                idx = id_to_index[uid]
-            else:
-                try:
-                    idx = int(uid)
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: unit id {uid!r} is not an integer and no id map was given"
-                    ) from None
-            if not (0 <= idx < n):
-                raise ValueError(f"line {lineno}: unit index {idx} out of range")
-            if val not in ("0", "1"):
-                raise ValueError(f"line {lineno}: rating must be 0 or 1, got {val!r}")
-            y_lists[idx].append(int(val))
+    rows = []
+    for lineno, rec in _records(path):
+        if isinstance(rec, str):
+            continue
+        if len(rec) != 2:
+            raise ValueError(f"line {lineno}: expected 'unit_id,value'")
+        uid, val = rec
+        idx = _parse_int(uid, lineno, "unit id") if id_to_index is None else id_to_index.get(uid)
+        if idx is None:
+            raise ValueError(f"line {lineno}: unknown unit id {uid!r}")
+        if not (0 <= idx < n):
+            raise ValueError(f"line {lineno}: unit index {idx} out of range")
+        if val not in ("0", "1"):
+            raise ValueError(f"line {lineno}: rating must be 0 or 1, got {val!r}")
+        rows += idx, int(val)
+    units, ratings = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+    ends = np.cumsum(np.bincount(units, minlength=n)).tolist()
+    flat = ratings[np.argsort(units, kind="stable")]  # each unit's ratings in file order, in turn
+    return _quiet_observations([flat[a:b] for a, b in zip([0] + ends, ends)], n)
+
+
+def _quiet_observations(y_lists, n) -> Observations:
+    """Observations(y_lists, n=n) for data the library reads or makes, without the warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return Observations(y_lists, n=n)

@@ -149,7 +149,7 @@ class PosteriorSamples:
                 "eta0": float(self.eta0[b]),
                 "eta1": float(self.eta1[b]),
                 "T": int(self.T[b]),
-                "z": "".join("1" if v else "0" for v in self.z[b]),
+                "z": (self.z[b] + 48).tobytes().decode(),  # 48 is ord("0")
             }
             if self.tree_edges is not None:
                 rec["tree_edges"] = self.tree_edges[b].tolist()
@@ -484,8 +484,7 @@ def _initial_state(obs: Observations, nug: Nug, config: McmcConfig, rng):
         # Data-driven: units above the grand mean rating start at one.
         if obs.total > 0:
             grand = obs.s.sum() / obs.total
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit_mean = np.where(obs.m > 0, obs.s / np.maximum(obs.m, 1), 0.0)
+            unit_mean = np.where(obs.m > 0, obs.s / np.maximum(obs.m, 1), 0.0)
             z = ((obs.m > 0) & (unit_mean > grand)).astype(np.uint8)
         else:
             z = np.zeros(nug.n, dtype=np.uint8)

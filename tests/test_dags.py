@@ -545,9 +545,9 @@ class TestSerialization:
 
     def test_out_of_range_edge_reports_line(self, tmp_path):
         path = tmp_path / "dag.csv"
-        path.write_text("# root= class=general\n1,0\n3,1\n")
-        with pytest.raises(ValueError, match="line 3"):
-            dag_from_csv(path, n=3)
+        path.write_text("# root= class=general\n# n=3\n1,0\n3,1\n")
+        with pytest.raises(ValueError, match="line 4"):
+            dag_from_csv(path)
         path.write_text("# n=2\n1,0\n2,1\n")
         with pytest.raises(ValueError, match="line 3"):
             dag_from_csv(path)

@@ -387,7 +387,7 @@ class TestOracle:
         nug = build_lattice_nug(LatticeSpec(4, 4, "first"))
         obs = quiet_obs([[] for _ in range(16)])
         with pytest.raises(IntractableError):
-            exact_posterior_oracle(obs, nug, 0.3, NoiseParams(0.2, 0.8), EXACT_MRF, max_n=12)
+            exact_posterior_oracle(obs, nug, 0.3, NoiseParams(0.2, 0.8), EXACT_MRF)
 
     def test_mrf_marginals_match_gibbs_stationary_solve(self):
         # Orthogonal check: the systematic-scan kernel built from the site

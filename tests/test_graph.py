@@ -11,9 +11,11 @@ from dagmix import (
     build_lattice_nug,
     count_acyclic_orientations,
     count_spanning_trees,
+    dag_from_csv,
     is_connected,
     laplacian,
     load_nug,
+    load_observations,
     rooted_dag,
     save_nug,
     skeleton,
@@ -230,9 +232,6 @@ class TestLoadNug:
 
     def test_out_of_range_with_explicit_n(self, tmp_path):
         p = tmp_path / "g.csv"
-        p.write_text("0,5\n")
-        with pytest.raises(GraphFormatError, match="out of range"):
-            load_nug(p, n=3)
         with pytest.raises(GraphFormatError, match="out of range"):
             p.write_text("-1,2\n")
             load_nug(p)
@@ -245,9 +244,6 @@ class TestLoadNug:
         p.write_text("# comment\n# n=-1\n")
         with pytest.raises(GraphFormatError, match="line 2: vertex count must be nonnegative"):
             load_nug(p)
-        p.write_text("0,1\n")
-        with pytest.raises(ValueError, match="nonnegative"):
-            load_nug(p, n=-2)
 
     def test_save_roundtrip(self, tmp_path, lattice33_second):
         p = tmp_path / "g.csv"
@@ -258,6 +254,52 @@ class TestLoadNug:
             assert back.n == nug.n
             assert back.edges == nug.edges
             assert back.weights == nug.weights
+
+
+LOADERS = {
+    "nug": (load_nug, GraphFormatError),
+    "dag": (dag_from_csv, ValueError),
+    "obs": (lambda p: load_observations(p, 3), ValueError),
+}
+
+
+class TestLoaderErrors:
+    """Each loader names the first bad line of its file, with its own error type."""
+
+    @pytest.mark.parametrize("loader, text, lineno", [
+        pytest.param("nug", "0,1\n1,x\n", 2, id="nug-non-integer"),
+        pytest.param("dag", "# n=3\n1,0\nx,1\n", 3, id="dag-non-integer"),
+        pytest.param("obs", "0,1\nx,1\n", 2, id="obs-non-integer"),
+        pytest.param("nug", "0,1\n1,2,1,1\n", 2, id="nug-field-count"),
+        pytest.param("dag", "# n=3\n1,0\n2,1,0\n", 3, id="dag-field-count"),
+        pytest.param("obs", "0,1\n1\n", 2, id="obs-field-count"),
+        pytest.param("nug", "0,1\n2,2\n", 2, id="nug-self-loop"),
+        pytest.param("dag", "# n=2\n0,0\n", 2, id="dag-self-loop"),
+        pytest.param("nug", "# n=3\n0,1\n1,3\n", 3, id="nug-out-of-range"),
+        pytest.param("dag", "# n=3\n1,0\n1,3\n", 3, id="dag-out-of-range"),
+        pytest.param("obs", "0,1\n3,1\n", 2, id="obs-out-of-range"),
+        pytest.param("nug", "0,1\n1,2\n2,1\n", 3, id="nug-duplicate"),
+        pytest.param("nug", "0,1\n1,2,3\n", 2, id="nug-weight-3"),
+        pytest.param("obs", "0,1\n1,7\n", 2, id="obs-rating-7"),
+    ])
+    def test_malformed_line(self, tmp_path, loader, text, lineno):
+        load, error = LOADERS[loader]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"^line {lineno}: ") as err:
+            load(path)
+        assert type(err.value) is error
+
+    @pytest.mark.parametrize("loader, text", [
+        pytest.param("nug", "0,1\n1,1\n\n# a comment\n1,x\n", id="nug"),
+        pytest.param("dag", "# n=3\n2,2\n\n# a comment\n1,x\n", id="dag"),
+    ])
+    def test_rule_break_reported_before_a_later_parse_error(self, tmp_path, loader, text):
+        load, error = LOADERS[loader]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=r"^line 2: .*self-loop"):
+            load(path)
 
 
 class TestLaplacian:
