@@ -31,6 +31,7 @@ from .graph import (
     build_lattice_nug,
     count_acyclic_orientations,
     count_spanning_trees,
+    density_of_states,
     is_connected,
     laplacian,
     load_nug,

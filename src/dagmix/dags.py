@@ -408,7 +408,7 @@ def dag_from_csv(path) -> Dag:
             if isinstance(rec, str):
                 header = dict(token.partition("=")[::2] for token in rec.split())
                 root = _parse_int(header["root"], lineno, "root") if header.get("root") else root
-                n = _parse_int(header["n"], lineno, "vertex count") if header.get("n") else n
+                n = _parse_int(header["n"], lineno, "vertex count", True) if header.get("n") else n
                 class_tag = header.get("class") or class_tag
             elif len(rec) != 2:
                 raise ValueError(f"line {lineno}: expected 'child,parent'")

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class GraphFormatError(ValueError):
@@ -59,12 +60,15 @@ class Nug:
 
     __slots__ = ("n", "edges", "edge_i", "edge_j", "weights", "neighbor_lists",
                  "arc_i", "arc_j", "arc_w", "degrees", "_color_classes", "_padded_neighbors",
-                 "_weighted_neighbors", "_class_layouts", "_connected", "_centre")
+                 "_weighted_neighbors", "_class_layouts", "_connected", "_centre", "_dos")
 
     def __init__(self, n, edges, weights=None):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        i, j = np.sort(np.array(list(edges), dtype=np.intp).reshape(-1, 2), axis=1).T
+        ends = np.array(list(edges), dtype=object).reshape(-1, 2)  # as given, so that 0.5 fails
+        for k in np.flatnonzero((ends != ends.astype(np.intp)).any(axis=1))[:1]:
+            raise ValueError(f"vertex index must be an integer, got edge {tuple(ends[k])}")
+        i, j = np.sort(ends.astype(np.intp), axis=1).T
         w = np.ones(len(i), dtype=object)  # each weight as given, so that "2" or 1.5 fails
         slot = dict(zip(zip(i.tolist(), j.tolist()), range(len(i))))
         for (a, b), wt in (weights or {}).items():
@@ -92,7 +96,7 @@ class Nug:
         self._color_classes = self._padded_neighbors = self._weighted_neighbors = None
         self._class_layouts = {}
         self._connected = True if n <= 1 else None  # else set by is_connected
-        self._centre = None  # set by dags.central_vertex
+        self._centre = self._dos = None  # set by dags.central_vertex and density_of_states
 
     def neighbors(self, i):
         return self.neighbor_lists[i]
@@ -245,12 +249,15 @@ def _records(path):
             yield lineno, list(map(str.strip, line.split(",")))
 
 
-def _parse_int(text, lineno, what, error=ValueError):
-    """int(text), else an `error` that names the line and the field."""
+def _parse_int(text, lineno, what, nonnegative=False, error=ValueError):
+    """int(text), else an `error` naming the line and the field (also below 0 if nonnegative)."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise error(f"line {lineno}: {what} must be an integer, got {text.strip()!r}") from None
+    if nonnegative and value < 0:
+        raise error(f"line {lineno}: {what} must be nonnegative")
+    return value
 
 
 def load_nug(path) -> Nug:
@@ -265,9 +272,7 @@ def load_nug(path) -> Nug:
         if isinstance(rec, str):
             key, _, value = rec.partition("=")
             if n is None and not rows and key.strip() == "n":
-                n = _parse_int(value, lineno, "vertex count", GraphFormatError)
-                if n < 0:
-                    raise GraphFormatError(f"line {lineno}: vertex count must be nonnegative")
+                n = _parse_int(value, lineno, "vertex count", True, GraphFormatError)
             continue
         try:
             if len(rec) in (2, 3):
@@ -286,7 +291,7 @@ def load_nug(path) -> Nug:
         if len(rec) not in (2, 3):
             raise GraphFormatError(f"line {lineno}: expected 'i,j[,w]', got {','.join(rec)!r}")
         for text, what in zip(rec, ("vertex index", "vertex index", "weight")):
-            _parse_int(text, lineno, what, GraphFormatError)
+            _parse_int(text, lineno, what, error=GraphFormatError)
     return _trusted_nug(n, i, j, w)
 
 
@@ -404,3 +409,53 @@ def count_acyclic_orientations(nug: Nug, max_edges: int = 24) -> int:
 
     chi = chi_at_minus_one(frozenset(range(nug.n)), frozenset(nug.edges))
     return (-1) ** nug.n * chi
+
+
+DOS_MAX_ENTRIES = 2**20  # density_of_states' cap: 2^(peak frontier) x (|E| + 1) counts
+
+
+def density_of_states(nug: Nug) -> np.ndarray:
+    """N[T], the number of 0/1 fields with T matching edges (T = 0..|E|), cached on the Nug.
+
+    Bartolucci and Besag's transfer recursion (Biometrika 2002) places vertices
+    in index order, counting over T per assignment of the frontier (placed
+    vertices with an unplaced neighbour) relative to an anchor vertex, so that a
+    field and its complement share a row. Each T reads T - (v's matches) through
+    the strides of a view of the zero-padded previous table. Past DOS_MAX_ENTRIES
+    (2^peak frontier, with the vertex being placed, times |E| + 1) or 1023
+    vertices it raises IntractableError before allocating.
+    """
+    if nug._dos is not None:
+        return nug._dos
+    n, edges, last = nug.n, len(nug.edges), np.arange(nug.n)  # v is summed out at last[v]
+    np.maximum.at(last, nug.edge_i, nug.edge_j)
+    ending = np.bincount(last, minlength=n)  # vertices summed out at each step
+    peak = int((np.arange(1, n + 1) - np.cumsum(ending) + ending).max(initial=0))  # with v
+    if n > 1023 or (1 << peak) * (edges + 1) > DOS_MAX_ENTRIES:  # 2^1024 overflows a double
+        raise IntractableError(f"n={n}, peak frontier {peak}, {edges} edges: over the table cap")
+    lower = np.bincount(nug.edge_j, minlength=n)  # placed neighbours of each vertex
+    pad = int(lower.max(initial=0))
+    table, out = buf = np.empty((2, ((1 << peak) * (edges + 1 + 2 * pad) >> 1) + 3 * pad + 1))
+    buf[:, :4 * pad + 1] = 0
+    table[2 * pad] = 1.0  # nothing placed: one empty assignment, T = 0
+    order, anchor, width, last = [], None, 1 + 2 * pad, last.tolist()  # the table's axes
+    for v, nbrs in enumerate(nug.neighbor_lists):
+        stride = {anchor: 0, v: 0} | {u: width << a for a, u in enumerate(order[::-1])}
+        low, stay = set(nbrs[:lower[v]]), [u for u in order if last[u] != v]
+        new = next((u for u in (anchor, v, *stay) if u is not None and last[u] != v), None)
+        rest, v_axis = [u for u in stay if u != new], last[v] != v != new
+        width += len(low)
+        shape, half = (2,) * len(rest) + (width,), width << len(rest)
+        out[pad:pad * 2 + half * (1 + v_axis)] = 0  # the next step reads pad entries past it
+        split = [u for u in order if u not in rest]  # old axes with a fixed bit in each pass
+        for x, *bits in np.ndindex((2,) * (1 + len(split))):  # x: v's bit
+            bit = {anchor: 0, v: x, **dict.fromkeys(rest, 0), **dict(zip(split, bits))}
+            dst = out[pad + half * x * v_axis:][:half].reshape(shape)
+            steps = [stride[u] + (1 - 2 * x) * (u in low) for u in rest]  # T reads T - matches
+            base = pad + sum(b * stride[u] - (b == x) * (u in low) for u, b in bit.items())
+            if bit.get(new, 0):  # the new anchor's bit is 1: read the complement
+                base, steps = base + sum(steps), [-s for s in steps]
+            np.add(dst, as_strided(table[base:], shape, [8 * s for s in steps] + [8]), out=dst)
+        table, out, order, anchor = out, table, [v] * v_axis + rest, new
+    nug._dos = table[2 * pad:2 * pad + edges + 1].copy()
+    return nug._dos

@@ -2,7 +2,7 @@
 
 Models: three DAG-mixture variants (spanning tree, rooted, acyclic
 orientation), the pseudo-likelihood approximation (amrf), and the exact
-MRF with exchange-algorithm beta updates backed by perfect sampling.
+MRF: exact-likelihood beta moves on narrow graphs, else exchange and CFTP.
 
 Per iteration: (1) graph update, (2) systematic z sweep, (3) beta update,
 (4) noise update. Chains are deterministic functions of their seed.
@@ -24,7 +24,7 @@ from .dags import (
     rooted_dag,
     uniform_spanning_tree,
 )
-from .graph import Nug, is_connected
+from .graph import IntractableError, Nug, density_of_states, is_connected
 from .model import (
     NoiseParams,
     Observations,
@@ -101,10 +101,10 @@ class PosteriorSamples:
 
     For mdgm-st, tree_edges is a (kept draws, n - 1, 2) array whose row k
     holds tree k's (child, parent) pairs in Dag.directed_edges() order.
-    For exact-mrf, cftp_horizons is the chain's histogram of recorded CFTP
-    horizons over all iterations, burn-in included: entry k counts horizon
-    2**k. A draw records the horizon where it coalesced, or H / 2 when it
-    coalesced at its start H > 1 (see cftp_ising).
+    For exact-mrf past density_of_states' cap, cftp_horizons counts the
+    chain's CFTP horizons over all iterations, burn-in included: entry k
+    counts horizon 2**k, recorded where a draw coalesced, or H / 2 when it
+    coalesced at its start H > 1 (see cftp_ising); otherwise it is None.
     """
 
     def __init__(self, model, burn_in, iterations, beta, eta0, eta1, T, z,
@@ -139,8 +139,8 @@ class PosteriorSamples:
     def to_jsonl(self, fh):
         """Newline-delimited JSON records, then a trailing acceptance object.
 
-        For exact-mrf the trailer also maps each recorded CFTP horizon to its
-        count, as {"<horizon>": count}, counted as in cftp_horizons.
+        With cftp_horizons set, the trailer also maps each recorded CFTP
+        horizon to its count, as {"<horizon>": count}.
         """
         for b in range(self.record_count):
             rec = {
@@ -278,21 +278,26 @@ def direct_update_st(z, nug: Nug, beta, rng) -> Dag:
     return posterior_spanning_tree(nug, z, beta, rng)
 
 
-def mh_update_beta(z, nug: Nug, dag, beta, rng, sd, priors: PriorSpec):
+def mh_update_beta(z, nug: Nug, dag, beta, rng, sd, priors: PriorSpec, dos=None):
     """Gaussian random-walk move on beta; proposals off the prior support reject.
 
     The log ratio is log_dgm_prior at the proposal minus its value at beta,
     or pseudo_likelihood_log's when dag is None (amrf), both scored from one
     balance histogram of z over the DAG's parent arcs or the NUG's arcs.
+    Given dos, the density of states (exact-mrf), the log density is beta T(z) - log Z(beta).
     """
     proposal = rng.normal(beta, sd)
     if not (0.0 <= proposal <= priors.beta_max):
         return beta, False
-    if dag is not None:
-        hist, excess = _balance_histogram(z, dag.edge_child, dag.edge_parent, dag.in_degree)
+    if dos is not None:  # Z(b) e^(-b |E|) = sum_T dos[T] e^(b (T - |E|)) is in [1, 2^n]
+        num, den = np.exp(np.outer((proposal, beta), np.arange(1 - len(dos), 1))) @ dos
+        log_ratio = (proposal - beta) * (suff_stat_T(z, nug) + 1 - len(dos)) - math.log(num / den)
     else:
-        hist, excess = _balance_histogram(z, nug.arc_i, nug.arc_j, nug.degrees)
-    log_ratio = _log_site_product(hist, excess, proposal) - _log_site_product(hist, excess, beta)
+        arcs = (nug.arc_i, nug.arc_j, nug.degrees) if dag is None else (
+            dag.edge_child, dag.edge_parent, dag.in_degree)
+        hist, excess = _balance_histogram(z, *arcs)
+        log_ratio = (_log_site_product(hist, excess, proposal)
+                     - _log_site_product(hist, excess, beta))
     if log_ratio >= 0 or rng.random() < math.exp(log_ratio):
         return proposal, True
     return beta, False
@@ -507,8 +512,8 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
 
     The per-iteration schedule is: graph update (mixture models only),
     systematic z sweep, beta update (random walk, or exchange for the exact
-    MRF), then the truncated-Beta noise update. Deterministic given
-    config.seed.
+    MRF past density_of_states' cap), then the truncated-Beta noise update.
+    Deterministic given config.seed.
     """
     if obs.n != nug.n:
         raise ValueError(f"data cover {obs.n} units but the graph has {nug.n}")
@@ -517,11 +522,14 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     if not is_connected(nug):
         raise ValueError("the NUG must be connected")
     rng = np.random.default_rng(config.seed)
-    model = config.model
+    model, sd = config.model, config.beta_proposal_sd
     z, beta, eta = _initial_state(obs, nug, config, rng)
     draw_dag = _dag_prior(nug, model)
     dag = None if draw_dag is None else draw_dag(rng)
-    horizons = HorizonHistogram() if model == EXACT_MRF else None
+    try:  # exact-mrf's beta move, chosen by the graph alone: exact likelihood, else exchange
+        dos, horizons = (density_of_states(nug) if model == EXACT_MRF else None), None
+    except IntractableError:
+        dos, horizons = None, HorizonHistogram()
 
     keep = config.iterations - config.burn_in
     rec_beta, rec_eta0, rec_eta1 = np.empty((3, keep))
@@ -547,15 +555,11 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
         z = gibbs_update_z(z, nug, dag, beta, eta, obs, rng)
 
         if config.update_beta:
-            if model == EXACT_MRF:
-                beta, ok = exchange_update_beta_mrf(
-                    z, nug, beta, rng, config.beta_proposal_sd, config.priors,
-                    config.cftp_step_cap, horizons,
-                )
+            if horizons is None:
+                beta, ok = mh_update_beta(z, nug, dag, beta, rng, sd, config.priors, dos)
             else:
-                beta, ok = mh_update_beta(
-                    z, nug, dag, beta, rng, config.beta_proposal_sd, config.priors
-                )
+                beta, ok = exchange_update_beta_mrf(z, nug, beta, rng, sd, config.priors,
+                                                    config.cftp_step_cap, horizons)
             accept["beta"][0] += ok
             accept["beta"][1] += 1
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from dagmix import graph
 from dagmix.cli import IdMap, _output_file, main
 from dagmix.dags import WALK_STEP_CAP
 from dagmix.samplers import PosteriorSamples
@@ -187,7 +188,8 @@ class TestFit:
         assert "acceptance" in trailer
         assert "cftp_horizons" not in trailer
 
-    def test_exact_mrf_trailer_has_cftp_horizons(self, tmp_path):
+    def test_exact_mrf_trailer_has_cftp_horizons(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 0)  # no table: exchange moves with CFTP
         data = self.setup_inputs(tmp_path)
         out = tmp_path / "exact.jsonl"
         code = main([
@@ -201,6 +203,18 @@ class TestFit:
         assert horizons and all(int(h) & (int(h) - 1) == 0 for h in horizons)
         assert all(isinstance(c, int) and c > 0 for c in horizons.values())
         assert sum(horizons.values()) <= trailer["acceptance"]["beta"][1] == 60
+
+    def test_exact_mrf_under_the_table_cap_writes_no_horizons(self, tmp_path):
+        data = self.setup_inputs(tmp_path)
+        out = tmp_path / "exact.jsonl"
+        code = main([
+            "fit", "--rows", "3", "--cols", "3", "--order", "second",
+            "--data", str(data), "--model", "exact-mrf", "--iters", "60",
+            "--burnin", "20", "--seed", "4", "--beta-max", "0.45", "--out", str(out),
+        ])
+        assert code == 0
+        trailer = json.loads(out.read_text().strip().split("\n")[-1])
+        assert set(trailer) == {"acceptance", "eta_stalls"}
 
     @pytest.mark.parametrize("model", ["amrf", "mdgm-st"])
     def test_both_models_accepted_on_same_inputs(self, tmp_path, model):

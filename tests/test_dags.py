@@ -563,6 +563,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             dag_from_csv(path)
 
+    def test_negative_vertex_count_rejected(self, tmp_path):
+        path = tmp_path / "dag.csv"
+        path.write_text("# n=-1\n")
+        with pytest.raises(ValueError, match="line 1: vertex count must be nonnegative"):
+            dag_from_csv(path)
+
     def test_repeated_edge_line_counts_once(self, tmp_path):
         path = tmp_path / "dag.csv"
         path.write_text("1,0\n1,0\n")

@@ -1,5 +1,9 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from dagmix import graph
 from dagmix import (
@@ -12,6 +16,7 @@ from dagmix import (
     count_acyclic_orientations,
     count_spanning_trees,
     dag_from_csv,
+    density_of_states,
     is_connected,
     laplacian,
     load_nug,
@@ -20,6 +25,7 @@ from dagmix import (
     save_nug,
     skeleton,
 )
+from dagmix.experiments import mrf_log_partition
 from conftest import brute_force_ao_count, brute_force_spanning_trees, random_connected_nug
 
 
@@ -105,6 +111,13 @@ class TestNugInvariants:
             Nug(3, [(0, 1), (1, 0)])
         with pytest.raises(ValueError, match="out of range"):
             Nug(2, [(0, 5)])
+
+    def test_non_integer_vertex_rejected(self):
+        # the intp cast would read 0.5 as vertex 0 and "2" as vertex 2
+        for edges in ([(0.5, 1)], [(0, 1), (1, "2")], [(1, 2.25)]):
+            with pytest.raises(ValueError, match="vertex index must be an integer"):
+                Nug(3, edges)
+        assert Nug(3, [(0.0, 1), (np.int64(2), True)]).edges == ((0, 1), (1, 2))
 
     def test_weight_errors(self):
         with pytest.raises(ValueError, match="missing edge"):
@@ -421,3 +434,80 @@ class TestAcyclicOrientationCount:
         # chromatic factor x per isolated vertex must not change the count
         nug = Nug(4, [(0, 1)])
         assert count_acyclic_orientations(nug) == 2
+
+
+class TestDensityOfStates:
+    # Bounds set before the first run: exact equality where every count is
+    # below 2^53, and 1e-12 relative where counts round.
+
+    @staticmethod
+    def enumerated(nug):
+        fields = np.array(list(np.ndindex((2,) * nug.n)))
+        matches = (fields[:, nug.edge_i] == fields[:, nug.edge_j]).sum(axis=1)
+        return np.bincount(matches, minlength=len(nug.edges) + 1)
+
+    def test_matches_enumeration_on_random_graphs(self):
+        # any order of vertices, isolated vertices and several components included
+        rng = np.random.default_rng(22)
+        for _ in range(24):
+            n = int(rng.integers(3, 13))
+            p = rng.uniform(0.1, 0.7)
+            nug = Nug(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            counts = density_of_states(nug)
+            assert np.array_equal(counts, self.enumerated(nug))
+            assert counts.sum() == 2**n
+
+    @pytest.mark.parametrize("spec", [LatticeSpec(1, 1), LatticeSpec(2, 3), LatticeSpec(3, 3),
+                                      LatticeSpec(3, 4, "second")], ids=str)
+    def test_matches_enumeration_on_small_lattices(self, spec):
+        nug = build_lattice_nug(spec)
+        assert np.array_equal(density_of_states(nug), self.enumerated(nug))
+
+    def test_empty_graph_has_one_field(self):
+        assert density_of_states(Nug(0, [])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("side", [6, 8, 9])
+    def test_log_partition_matches_row_sweep(self, side):
+        spec = LatticeSpec(side, side, "second")
+        nug = build_lattice_nug(spec)
+        counts = density_of_states(nug)
+        assert math.fsum(counts) == pytest.approx(2.0**nug.n, rel=1e-12)
+        t = np.flatnonzero(counts)
+        for beta in (0.0, 0.2, 0.45, 0.8, 1.5):
+            got = logsumexp(np.log(counts[t]) + beta * t)
+            assert got == pytest.approx(mrf_log_partition(spec, beta), rel=1e-12)
+
+    def test_path_counts_are_binomial(self):
+        # the longest graph under the vertex cap: T mismatches are free, so N[T] = 2 C(n - 1, T)
+        nug = Nug(1023, [(i, i + 1) for i in range(1022)])
+        want = [2.0 * math.comb(1022, t) for t in range(1023)]
+        assert density_of_states(nug) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(IntractableError, match="n=1024"):
+            density_of_states(Nug(1024, [(i, i + 1) for i in range(1023)]))
+
+    def test_cap_counts_peak_frontier_times_edges(self, monkeypatch):
+        # 8x8 second order: frontier 10 with the vertex being placed, 210 edges
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 2**10 * 211 - 1)
+        with pytest.raises(IntractableError, match="peak frontier 10, 210 edges"):
+            density_of_states(nug)
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 2**10 * 211)
+        assert density_of_states(nug) is density_of_states(nug)  # built once, cached on the Nug
+
+    def test_default_cap_takes_9x9_but_not_10x10(self):
+        assert graph.DOS_MAX_ENTRIES == 2**20
+        density_of_states(build_lattice_nug(LatticeSpec(9, 9, "second")))  # 559,104 entries
+        with pytest.raises(IntractableError):
+            density_of_states(build_lattice_nug(LatticeSpec(10, 10, "second")))  # 1.4M
+
+    def test_over_the_cap_raises_before_allocating(self):
+        nug = build_lattice_nug(LatticeSpec(16, 16, "second"))  # 2^18 x 931 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntractableError, match="cap"):
+                density_of_states(nug)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert nug._dos is None

@@ -37,7 +37,7 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
-from dagmix import samplers
+from dagmix import graph, samplers
 from dagmix.dags import Dag
 from dagmix.experiments import (
     _log_prior_table,
@@ -377,19 +377,25 @@ class TestMhBeta:
         assert _ks(draws[5000:], grid, cdf) < 0.02
 
 
-    @pytest.mark.parametrize("model", [MDGM_ST, AMRF])
+    @pytest.mark.parametrize("model", [MDGM_ST, AMRF, EXACT_MRF])
     def test_log_ratio_is_difference_of_public_functions(self, model, monkeypatch):
-        nug = build_lattice_nug(LatticeSpec(4, 4, "second"))
+        spec = LatticeSpec(4, 4, "second")
+        nug = build_lattice_nug(spec)
         setup = np.random.default_rng(41)
         z = setup.integers(0, 2, size=nug.n).astype(np.uint8)
+        dos = None
         if model == MDGM_ST:
             dag = samplers.uniform_spanning_tree(nug, setup)
             density = lambda b: log_dgm_prior(z, dag, b)
-        else:
+        elif model == AMRF:
             dag = None
             density = lambda b: pseudo_likelihood_log(z, nug, b)
+        else:
+            dag, dos = None, samplers.density_of_states(nug)
+            density = lambda b: b * suff_stat_T(z, nug) - mrf_log_partition(spec, b)
         # the move scores both betas from one balance histogram of z, and its
-        # floats equal those of the public functions
+        # floats equal those of the public functions; exact-mrf's scores come
+        # from the density of states, checked against the row sweep's log Z
         histogram, calls = samplers._balance_histogram, []
         monkeypatch.setattr(samplers, "_balance_histogram", lambda *a: calls.append(1) or histogram(*a))
         priors = PriorSpec(beta_max=2.0)
@@ -397,10 +403,10 @@ class TestMhBeta:
         for seed in range(200):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             calls.clear()
-            got, accepted = mh_update_beta(z, nug, dag, beta, rng, sd=0.5, priors=priors)
+            got, accepted = mh_update_beta(z, nug, dag, beta, rng, sd=0.5, priors=priors, dos=dos)
             proposal = twin.normal(beta, 0.5)
             if 0.0 <= proposal <= priors.beta_max:
-                assert len(calls) == 1
+                assert len(calls) == (dos is None)
                 log_ratio = density(proposal) - density(beta)
                 expected = log_ratio >= 0 or twin.random() < math.exp(log_ratio)
             else:
@@ -408,6 +414,25 @@ class TestMhBeta:
                 expected = False
             assert (got, accepted) == ((proposal, True) if expected else (beta, False))
             assert rng.random() == twin.random()
+
+
+    def test_stationary_exact_mrf_target(self):
+        # the density-of-states move keeps p(beta | z) of the exact MRF, by enumeration
+        nug = build_lattice_nug(LatticeSpec(2, 3, "first"))
+        z = [0, 0, 1, 1, 0, 1]
+        t_all = np.array([suff_stat_T(f, nug) for f in all_fields(6)])
+        priors = PriorSpec(beta_max=1.0)
+        grid = np.linspace(0.0, 1.0, 801)
+        log_density = np.array([b * suff_stat_T(z, nug) - logsumexp(b * t_all) for b in grid])
+        cdf = _grid_cdf(grid, log_density)
+        dos = samplers.density_of_states(nug)
+        rng = np.random.default_rng(9)
+        beta = 0.5
+        draws = np.empty(6 * 10**4)
+        for k in range(len(draws)):
+            beta, _ = mh_update_beta(z, nug, None, beta, rng, sd=0.3, priors=priors, dos=dos)
+            draws[k] = beta
+        assert _ks(draws[5000:], grid, cdf) < 0.02
 
 
 class TestExchangeBeta:
@@ -791,9 +816,12 @@ class TestRunChain:
         if model == MDGM_ST:
             assert np.array_equal(a.tree_edges, b.tree_edges)
 
-    @pytest.mark.parametrize("model", [MDGM_ROOTED, MDGM_AO])
-    def test_free_beta_chain_matches_joint_oracle(self, model, lattice22, obs22):
-        # acceptance criterion 7's data, seed, iteration count and bounds
+    @pytest.mark.parametrize("model", [MDGM_ROOTED, MDGM_AO,
+                                       pytest.param(EXACT_MRF, id="exact-mrf-exchange")])
+    def test_free_beta_chain_matches_joint_oracle(self, model, lattice22, obs22, monkeypatch):
+        # acceptance criterion 7's data, seed, iteration count and bounds; with no
+        # room for a density of states, exact-mrf takes the exchange move and CFTP
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 0)
         priors = PriorSpec(beta_max=1.0)
         oracle = joint_beta_oracle(obs22, lattice22, NoiseParams(0.2, 0.8), model, priors)
         cfg = McmcConfig(
@@ -803,6 +831,7 @@ class TestRunChain:
             update_eta=False,
         )
         samples = run_chain(obs22, lattice22, cfg)
+        assert (samples.cftp_horizons is not None) == (model == EXACT_MRF)
         assert np.abs(samples.z_mean() - oracle.z_marginals).max() < 0.01
         assert ks_distance(samples.beta, oracle) < 0.02
 
@@ -868,7 +897,9 @@ class TestRunChain:
         assert samples.tree_edges.shape == (10, nug.n - 1, 2)
 
     def test_horizon_histogram_counts_each_exchange_draw(self, lattice22, obs22, monkeypatch):
-        # beta starts at 0 with sd 0.3, so many proposals fall below the support
+        # beta starts at 0 with sd 0.3, so many proposals fall below the support;
+        # a zero table cap sends the exact MRF to the exchange move
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 0)
         calls = []
 
         def counting_cftp(*args, **kwargs):
@@ -883,6 +914,35 @@ class TestRunChain:
         assert 0 < len(calls) < cfg.iterations
         assert sum(samples.cftp_horizons) == len(calls)
         assert run_chain(obs22, lattice22, McmcConfig(iterations=30, burn_in=10)).cftp_horizons is None
+
+    def test_narrow_graph_exact_mrf_draws_no_cftp_sample(self, lattice22, obs22, monkeypatch):
+        # the choice is made by the graph: under the table cap every move is exact-likelihood
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CFTP draw on a graph under the table cap")
+
+        monkeypatch.setattr(samplers, "cftp_ising", forbidden)
+        cfg = McmcConfig(iterations=300, burn_in=100, seed=6, model=EXACT_MRF,
+                         beta_proposal_sd=0.3, priors=PriorSpec(beta_max=0.45))
+        samples = run_chain(obs22, lattice22, cfg)
+        assert samples.cftp_horizons is None
+        assert 0 < samples.acceptance["beta"][0] < samples.acceptance["beta"][1] == 300
+        buf = io.StringIO()
+        samples.to_jsonl(buf)
+        assert "cftp_horizons" not in json.loads(buf.getvalue().splitlines()[-1])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_exact_mrf_chain_finishes_on_a_coin_field(self, seed):
+        # library defaults (beta_max 1, sd 0.05, start 0.5) on a fair-coin field
+        # over 8x8 second order: the exchange move's CFTP draws fail to
+        # coalesce once beta passes about 0.55; the table move has no draw
+        nug = build_lattice_nug(LatticeSpec(8, 8, "second"))
+        data = np.random.default_rng(1)
+        z = data.integers(0, 2, nug.n)
+        ratings = (data.random((nug.n, 2)) < np.where(z == 1, 0.8, 0.2)[:, None]).astype(int)
+        cfg = McmcConfig(iterations=1000, burn_in=500, seed=seed, model=EXACT_MRF)
+        samples = run_chain(Observations(ratings.tolist()), nug, cfg)
+        assert samples.record_count == 500 and samples.cftp_horizons is None
+        assert ((0.0 <= samples.beta) & (samples.beta <= 1.0)).all()
 
     def test_eta_constraint_in_every_record(self, lattice22, obs22):
         cfg = McmcConfig(iterations=500, burn_in=0, seed=2)
@@ -986,7 +1046,8 @@ class TestRunChain:
         assert set(trailer["acceptance"]) == {"dag", "beta"}
         assert "cftp_horizons" not in trailer
 
-    def test_jsonl_trailer_holds_exact_mrf_horizons(self, lattice22, obs22):
+    def test_jsonl_trailer_holds_exact_mrf_horizons(self, lattice22, obs22, monkeypatch):
+        monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 0)  # the exchange move, with CFTP
         cfg = McmcConfig(iterations=40, burn_in=20, seed=5, model=EXACT_MRF,
                          priors=PriorSpec(beta_max=0.45))
         samples = run_chain(obs22, lattice22, cfg)

@@ -15,13 +15,14 @@ PINNED = [
     "mdgm-rooted 44ce281c5c28303a",
     "mdgm-ao be20dc2fa74625be",
     "amrf 9168f4006003619e",
-    "exact-mrf 88067973fe9b2bcb",
+    "exact-mrf 980a5e239ea04fbd",
     "cftp ffa081d688406592",
     "graph eb959e0b21918e2e",
     "trees ef50e921171a8cfa",
     "limit a637715f4eb84036",
     "rooted 9d7030ce7e8210d7",
     "orient 0bc72328185db55e",
+    "dos 187fc1c74bd6639b",
 ]
 
 

@@ -10,7 +10,8 @@ Run from the root of a checkout:
 
 Each model fits the same data: the 6x6 second-order lattice, two ratings
 per unit drawn with numpy's default_rng(0), 120 iterations with 60
-burn-in and chain seed 7; exact-mrf truncates its beta prior at 0.45.
+burn-in and chain seed 7; exact-mrf truncates its beta prior at 0.45
+and, the lattice being under density_of_states' cap, draws no CFTP sample.
 The digest is the first 16 hex digits of the SHA-256 of to_jsonl.
 
 A last line, `cftp <digest>`, covers perfect sampling alone: 100
@@ -54,6 +55,12 @@ default_rng(7), it hashes 50 orientation proposals of the sampler's DAG
 move, then the generator's next uniform. Each proposal contributes the
 dtype and bytes of edge_child, edge_parent and in_degree, and
 flat_children().
+
+The line `dos <digest>` covers the density of states alone: the bytes and
+dtype of density_of_states for 3x3, 6x6 and 8x8 second order and for a
+seeded 12-vertex random graph (each pair an edge with probability 0.3,
+drawn by default_rng(7)). Above 2^53 the counts are rounded doubles, so
+the line also pins the order of the sums.
 """
 
 from __future__ import annotations
@@ -75,7 +82,7 @@ from dagmix.dags import (  # noqa: E402
     skeleton,
     uniform_spanning_tree,
 )
-from dagmix.graph import Nug, load_nug, save_nug  # noqa: E402
+from dagmix.graph import Nug, density_of_states, load_nug, save_nug  # noqa: E402
 from dagmix.samplers import ALL_MODELS, EXACT_MRF, MDGM_AO, _dag_prior, cftp_ising  # noqa: E402
 
 
@@ -196,6 +203,18 @@ def orient_digest():
     return h.hexdigest()[:16]
 
 
+def dos_digest():
+    """Digest of the density of states of three lattices and a seeded random graph."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(7)
+    edges = [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.3]
+    nugs = [build_lattice_nug(LatticeSpec(k, k, "second")) for k in (3, 6, 8)]
+    for nug in nugs + [Nug(12, edges)]:
+        counts = density_of_states(nug)
+        h.update(counts.dtype.str.encode() + counts.tobytes())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
@@ -205,3 +224,4 @@ if __name__ == "__main__":
     print(f"limit {limit_digest()}")
     print(f"rooted {rooted_digest()}")
     print(f"orient {orient_digest()}")
+    print(f"dos {dos_digest()}")
