@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 
 import numpy as np
 
@@ -258,15 +259,13 @@ class WalkCapError(RuntimeError):
 
 
 def _uniforms(rng, size, blocks):
-    """Uniforms in at most the given number of blocks of size, then WalkCapError.
+    """Uniforms in at most the given number of blocks of size, then StopIteration.
 
     A memoryview yields each one as a Python float, converted only when
     the walk reaches it: float arithmetic is faster than on numpy scalars,
     and a short walk pays nothing for the rest of its block.
     """
-    for _ in range(blocks):
-        yield from memoryview(rng.random(size))
-    raise WalkCapError(f"the tree draw took more than {blocks * size} walk steps")
+    return itertools.chain.from_iterable(map(lambda _: memoryview(rng.random(size)), range(blocks)))
 
 
 def _wilson_tree(nug: Nug, rng, cum) -> Dag:
@@ -286,19 +285,23 @@ def _wilson_tree(nug: Nug, rng, cum) -> Dag:
     """
     n = nug.n
     root = central_vertex(nug)
-    uniform = _uniforms(rng, 4 * n, WALK_STEP_CAP // 4).__next__
+    size, blocks = 4 * n, WALK_STEP_CAP // 4
+    uniform = _uniforms(rng, size, blocks).__next__
     nbrs, step = nug.neighbor_lists, bisect.bisect_right
     nxt = [-1] * n
     in_tree = bytearray(n)
     in_tree[root] = 1
-    for start in range(n):
-        v = start
-        while not in_tree[v]:
-            nxt[v] = v = nbrs[v][step(cum[v], uniform())]
-        v = start
-        while not in_tree[v]:
-            in_tree[v] = 1
-            v = nxt[v]
+    try:
+        for start in range(n):
+            v = start
+            while not in_tree[v]:
+                nxt[v] = v = nbrs[v][step(cum[v], uniform())]
+            v = start
+            while not in_tree[v]:
+                in_tree[v] = 1
+                v = nxt[v]
+    except StopIteration:
+        raise WalkCapError(f"the tree draw took more than {blocks * size} walk steps") from None
     parent = np.array(nxt, dtype=np.intp)  # the root's entry stays -1
     child = np.flatnonzero(parent >= 0)
     return _trusted_dag(n, child, parent[child], CLASS_SPANNING_TREE, root)

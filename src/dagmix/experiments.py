@@ -186,9 +186,8 @@ def _chain_seed(root_seed, *key):
 
 
 def _replicate(args):
-    """One simulation replication: shared dataset, one chain per model."""
-    config, setting_idx, rep_idx = args
-    nug = build_lattice_nug(config.lattice)
+    """One simulation replication: shared dataset, one chain per model, on the setting's Nug."""
+    config, nug, setting_idx, rep_idx = args
     data_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(setting_idx, rep_idx, 0))
     )
@@ -246,10 +245,12 @@ def run_simulation_study(configs, threads=1) -> list:
 
     Replications are independent chains with seeds derived from
     (setting index, replication index, model), so results do not depend on
-    the worker count or scheduling order.
+    the worker count or scheduling order. Each setting's Nug is built once
+    and shared by its replications, with what its chains cache on it.
     """
+    nugs = [build_lattice_nug(cfg.lattice) for cfg in configs]
     tasks = [
-        (cfg, si, ri)
+        (cfg, nugs[si], si, ri)
         for si, cfg in enumerate(configs)
         for ri in range(cfg.replications)
     ]

@@ -7,6 +7,7 @@ exp(beta * I(z_i = z_j)) throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -179,61 +180,69 @@ def _log_site_product(hist, excess, beta):
     return -math.fsum([beta * excess, *(hist * sp).tolist()])
 
 
-def _one_counts(z, site, cond, n):
-    """Per site, its number of conditioning-set members at one, as a list of ints.
+def _site_codes(z, site, cond, degree, beta):
+    """(codes, _child_tables(w, beta), step): one int code per site, in a list.
 
-    (site[e], cond[e]) pairs sites with their sets as in _balance_histogram.
+    (site[e], cond[e]) pairs sites with their sets as in _balance_histogram;
+    w is the largest set size and step = 2 w + 1. Site i's code is c_i + w +
+    step z_i, where c_i = degree[i] - 2 (members at one), in [-w, w].
     """
     zz = np.asarray(z)
-    if len(zz) != n:
-        raise ValueError(f"field length {len(zz)} does not match {n} units")
-    return np.bincount(site[zz[cond] != 0], minlength=n).tolist()
+    if len(zz) != len(degree):
+        raise ValueError(f"field length {len(zz)} does not match {len(degree)} units")
+    width = int(degree.max(initial=0))
+    ones = zz != 0
+    n1 = np.bincount(site[ones[cond]], minlength=len(degree))
+    codes = (degree + np.where(ones, 3 * width + 1, width) - 2 * n1).tolist()
+    return codes, _child_tables(width, beta), 2 * width + 1
 
 
-def _child_tables(dag: Dag, beta):
-    """(g0, g1): a child's logit term, indexed by its balance d, for z_k = 0 and z_k = 1.
+@functools.cache
+def _table_index(width):
+    """(c, hi, lo): _child_tables's entries are v[hi] - v[lo], for v = [sp(c), beta c, 0]."""
+    c = np.arange(-width, width + 1)
+    d = np.stack((c, c + 2)) + width  # the place of d = c + 2 z_i in c, rows z_i = 0 and 1
+    hi = np.vstack((np.tile(3 * width + 1 - c, 2), np.hstack((2 * width - d, d))))
+    lo = np.vstack((np.full(4 * width + 2, -1), np.hstack((2 * width + 2 - d, d - 2))))
+    return c, hi, lo
 
-    With sp(d) = softplus(beta * d), g1[d] = sp(d) - sp(d - 2) and g0[d] =
-    sp(-d) - sp(2 - d). A negative d sits at the end of each list, where
-    negative indexing reads it; the entries no child reaches (d = -w and
-    1 - w for the largest in-degree w) hold wrapped-around values.
+
+def _child_tables(width, beta):
+    """[own, at0, at1]: site terms indexed by code, for the largest in-degree width.
+
+    own[code] = -beta c is a site's own parent term. at0 and at1 hold a
+    child's term for its parent at z_i = 0 and 1: with sp(d) = softplus(beta
+    d) and d = c + 2 z_i, it is sp(d) - sp(d - 2) for z_k = 1 and sp(-d) -
+    sp(2 - d) for z_k = 0. The entries no child reaches (d outside [2 -
+    width, width]) hold wrapped-around values.
     """
-    width = int(dag.in_degree.max(initial=0))
-    ks = [*range(width + 1), *range(-width, 0)]
-    sp = np.logaddexp(0.0, beta * np.array(ks)).tolist()
-    m = len(sp)
-    return [sp[-k] - sp[(2 - k) % m] for k in ks], [sp[k] - sp[(k - 2) % m] for k in ks]
+    c, hi, lo = _table_index(width)
+    bc = beta * c
+    v = np.concatenate((np.logaddexp(0.0, bc), bc, (0.0,)))
+    return (v[hi] - v[lo]).tolist()
 
 
-def _site_logit(i, zz, n1, in_degree, kids, beta, tables):
+def _site_logit(i, zi, codes, kids, tables):
     """log p(z_i=1 | rest) - log p(z_i=0 | rest) under prod_k p(z_k | z_{parents[k]}).
 
-    zz is the field as ints, n1[k] the number of k's parents at one in it
-    and in_degree[k] the number of k's parents; kids lists i's children and
-    tables is _child_tables's pair (zz and tables are read only for
-    children). Site i's own normalizer does not depend on z_i, but each
-    child's does. With no children this is the Ising full conditional over
-    i's conditioning set.
+    zi is z_i, codes the field's _site_codes, kids lists i's children and
+    tables is _child_tables's [own, at0, at1]. Site i's own normalizer does
+    not depend on z_i, but each child's does. With no children this is the
+    Ising full conditional over i's conditioning set.
     """
-    logit = beta * (2 * n1[i] - in_degree[i])
-    if kids:
-        g0, g1 = tables
-        zi = zz[i]
-        for k in kids:
-            # child k's balance with z_i = 0 is d if z_k = 1 and -d if z_k = 0;
-            # z_i = 1 adds a match (balance - 2) or a mismatch (balance + 2)
-            d = in_degree[k] - 2 * (n1[k] - zi)
-            logit += g1[d] if zz[k] else g0[d]
+    logit = tables[0][codes[i]]
+    g = tables[1 + zi]
+    for k in kids:
+        logit += g[codes[k]]
     return logit
 
 
 def _dag_logit(i, z, dag: Dag, beta):
     """_site_logit at site i of the field z under the DAG prior, from scratch."""
     _check_vertex(i, dag.n)
-    n1 = _one_counts(z, dag.edge_child, dag.edge_parent, dag.n)
+    codes, tables, step = _site_codes(z, dag.edge_child, dag.edge_parent, dag.in_degree, beta)
     kids, offsets = dag.flat_children()
-    return _site_logit(i, _as_ints(z), n1, dag.in_degree.tolist(),
-                       kids[offsets[i]:offsets[i + 1]], beta, _child_tables(dag, beta))
+    return _site_logit(i, codes[i] >= step, codes, kids[offsets[i]:offsets[i + 1]], tables)
 
 
 def _unit_logliks(m, s, eta: NoiseParams):
@@ -315,8 +324,8 @@ def mrf_full_conditional(i, z, nug: Nug, beta: float) -> float:
     An isolated vertex has empty neighbor sums and probability 1/2.
     """
     _check_vertex(i, nug.n)
-    n1 = _one_counts(z, nug.arc_i, nug.arc_j, nug.n)
-    return _prob_one(_site_logit(i, None, n1, nug.degrees.tolist(), (), beta, None))
+    codes, tables, _ = _site_codes(z, nug.arc_i, nug.arc_j, nug.degrees, beta)
+    return _prob_one(_site_logit(i, 0, codes, (), tables))
 
 
 def pseudo_likelihood_log(z, nug: Nug, beta: float) -> float:

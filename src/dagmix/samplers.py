@@ -29,11 +29,9 @@ from .model import (
     NoiseParams,
     Observations,
     PriorSpec,
-    _as_ints,
     _balance_histogram,
-    _child_tables,
     _log_site_product,
-    _one_counts,
+    _site_codes,
     _site_logit,
     _unit_logliks,
     eta_full_conditional_params,
@@ -151,9 +149,12 @@ class PosteriorSamples:
                 "T": int(self.T[b]),
                 "z": (self.z[b] + 48).tobytes().decode(),  # 48 is ord("0")
             }
-            if self.tree_edges is not None:
-                rec["tree_edges"] = self.tree_edges[b].tolist()
-            fh.write(json.dumps(rec) + "\n")
+            line = json.dumps(rec)
+            if self.tree_edges is not None:  # json.dumps's text, with no list per pair
+                child, parent = self.tree_edges[b].T.tolist()
+                pairs = ", ".join(map("[{}, {}]".format, child, parent))
+                line = f'{line[:-1]}, "tree_edges": [{pairs}]}}'
+            fh.write(line + "\n")
         trailer = {
             "acceptance": {k: [int(a), int(p)] for k, (a, p) in self.acceptance.items()},
             "eta_stalls": int(self.eta_stalls),
@@ -172,12 +173,12 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     < P(z_i = 1 | rest). One numpy call computes every x_i, and no site
     needs an exp. Given a DAG (the mixture models), the sweep visits sites
     in ascending index, and model._site_logit, the body of the public full
-    conditionals, gives the log-odds. It keeps every site's count of parents
-    at one, n1, from one bincount at the start of the sweep, and when z_i
-    flips it moves n1 of each of i's children by one. The children come
-    from Dag.flat_children(), so a site costs one read per child. With dag
-    None (amrf and the exact MRF) the log-odds are beta * (2 n1_i - deg_i)
-    for n1_i neighbors at one. That sweep goes class by class over
+    conditionals, gives the log-odds from per-sweep tables and one integer
+    code per site (model._site_codes: z_i and its parents at one). When z_i
+    flips, its code moves by step and each child's by 2. The children come
+    from Dag.flat_children(), so a site costs one lookup and add per child.
+    With dag None (amrf and the exact MRF) the log-odds are beta * (2 n1_i -
+    deg_i) for n1_i neighbors at one. That sweep goes class by class over
     Nug.color_classes(): sites in one class are not adjacent, so they are
     conditionally independent given the rest and a whole class updates at
     once, still a systematic scan. Its beta must be nonnegative: then the
@@ -189,19 +190,17 @@ def gibbs_update_z(z, nug: Nug, dag, beta, eta: NoiseParams, obs: Observations, 
     ll1, ll0 = _unit_logliks(obs.m, obs.s, eta)
     x = special.logit(rng.random(n)) - (ll1 - ll0)
     if dag is not None:
-        zz = _as_ints(z)
-        n1 = _one_counts(z, dag.edge_child, dag.edge_parent, n)
-        in_degree, tables = dag.in_degree.tolist(), _child_tables(dag, beta)
+        codes, tables, step = _site_codes(z, dag.edge_child, dag.edge_parent, dag.in_degree, beta)
         kids, offsets = dag.flat_children()
         for i, a, b, xi in zip(range(n), offsets, offsets[1:], x.tolist()):
             ch = kids[a:b]
-            zi = 1 if _site_logit(i, zz, n1, in_degree, ch, beta, tables) > xi else 0
-            if zi != zz[i]:
-                zz[i] = zi
-                step = 2 * zi - 1
+            zi = codes[i] >= step
+            if (_site_logit(i, zi, codes, ch, tables) > xi) != zi:
+                codes[i] += -step if zi else step
+                move = 2 if zi else -2
                 for k in ch:
-                    n1[k] += step
-        return np.array(zz, dtype=np.uint8)
+                    codes[k] += move
+        return (np.array(codes) >= step).view(np.uint8)
     if beta < 0:
         raise ValueError("beta must be nonnegative (monotone regime)")
     classes, positions, order = nug.class_layout(1)
@@ -527,7 +526,8 @@ def run_chain(obs: Observations, nug: Nug, config: McmcConfig) -> PosteriorSampl
     draw_dag = _dag_prior(nug, model)
     dag = None if draw_dag is None else draw_dag(rng)
     try:  # exact-mrf's beta move, chosen by the graph alone: exact likelihood, else exchange
-        dos, horizons = (density_of_states(nug) if model == EXACT_MRF else None), None
+        moves = model == EXACT_MRF and config.update_beta
+        dos, horizons = (density_of_states(nug) if moves else None), None
     except IntractableError:
         dos, horizons = None, HorizonHistogram()
 

@@ -239,6 +239,24 @@ class TestSimulationStudy:
             assert ca.accuracy == cb.accuracy
             assert ca.rmse_T == cb.rmse_T
 
+    def test_each_setting_builds_its_nug_once(self, monkeypatch):
+        built, chained = [], []
+        real_build, real_run_chain = experiments.build_lattice_nug, experiments.run_chain
+
+        def build(spec):
+            built.append(real_build(spec))
+            return built[-1]
+
+        def run_chain(obs, nug, cfg):
+            chained.append(nug)
+            return real_run_chain(obs, nug, cfg)
+
+        monkeypatch.setattr(experiments, "build_lattice_nug", build)
+        monkeypatch.setattr(experiments, "run_chain", run_chain)
+        run_simulation_study([small_sim_config(reps=3), small_sim_config(reps=2)])
+        assert len(built) == 2
+        assert [id(nug) for nug in chained] == [id(built[0])] * 6 + [id(built[1])] * 4
+
     def test_single_replication_degenerate_ci(self):
         cells = run_simulation_study([small_sim_config(reps=1)])
         for c in cells:

@@ -29,7 +29,7 @@ from dagmix import (
     tree_dag,
     uniform_spanning_tree,
 )
-from dagmix.model import _child_tables, _one_counts, _site_logit
+from dagmix.model import _site_codes, _site_logit
 from conftest import all_fields, quiet_obs, random_connected_nug
 
 
@@ -390,20 +390,20 @@ class TestBalanceKernelsMatchSiteFormulas:
         for nug, dags in _reference_cases():
             no_children = ((),) * nug.n
             for zz, field in self.fields(nug.n, rng):
-                counts = _one_counts(field, nug.arc_i, nug.arc_j, nug.n)
                 for beta in self.BETAS:
+                    codes, tables, _ = _site_codes(field, nug.arc_i, nug.arc_j, nug.degrees, beta)
                     for i in range(nug.n):
                         ref = _ref_conditional_logit(i, zz, nug.neighbor_lists, no_children, beta)
-                        got = _site_logit(i, zz, counts, nug.degrees.tolist(), (), beta, None)
+                        got = _site_logit(i, zz[i], codes, (), tables)
                         assert got == pytest.approx(ref, rel=1e-9)
                         p = 1 / (1 + math.exp(-ref))
                         assert mrf_full_conditional(i, field, nug, beta) == pytest.approx(p, rel=1e-9)
                         for dag in dags:
-                            n1 = _one_counts(field, dag.edge_child, dag.edge_parent, dag.n)
+                            dag_codes, dag_tables, _ = _site_codes(
+                                field, dag.edge_child, dag.edge_parent, dag.in_degree, beta)
                             kids = dag.children[i]
-                            tables = _child_tables(dag, beta)
                             ref = _ref_conditional_logit(i, zz, dag.parents, dag.children, beta)
-                            got = _site_logit(i, zz, n1, dag.in_degree.tolist(), kids, beta, tables)
+                            got = _site_logit(i, zz[i], dag_codes, kids, dag_tables)
                             assert got == pytest.approx(ref, rel=1e-9)
                             p = 1 / (1 + math.exp(-ref))
                             got = dgm_full_conditional_prior(i, field, dag, beta)

@@ -930,6 +930,18 @@ class TestRunChain:
         samples.to_jsonl(buf)
         assert "cftp_horizons" not in json.loads(buf.getvalue().splitlines()[-1])
 
+    def test_fixed_beta_exact_mrf_builds_no_density_of_states(self, lattice22, obs22,
+                                                             monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a density of states for a chain with no beta move")
+
+        monkeypatch.setattr(samplers, "density_of_states", forbidden)
+        cfg = McmcConfig(iterations=30, burn_in=10, seed=6, model=EXACT_MRF,
+                         priors=PriorSpec(beta_max=0.45), update_beta=False)
+        samples = run_chain(obs22, lattice22, cfg)
+        assert samples.cftp_horizons is None and samples.acceptance["beta"] == (0, 0)
+        assert (samples.beta == 0.225).all()
+
     @pytest.mark.parametrize("seed", range(8))
     def test_default_exact_mrf_chain_finishes_on_a_coin_field(self, seed):
         # library defaults (beta_max 1, sd 0.05, start 0.5) on a fair-coin field
@@ -1045,6 +1057,23 @@ class TestRunChain:
         assert "acceptance" in trailer and "eta_stalls" in trailer
         assert set(trailer["acceptance"]) == {"dag", "beta"}
         assert "cftp_horizons" not in trailer
+
+    def test_jsonl_records_are_json_dumps_of_nested_lists(self):
+        for nug, obs in ((build_lattice_nug(LatticeSpec(3, 3, "second")), quiet_obs([[1, 0]] * 9)),
+                         (Nug(1, []), Observations([[1, 1]]))):
+            cfg = McmcConfig(iterations=12, burn_in=6, seed=9, model=MDGM_ST)
+            samples = run_chain(obs, nug, cfg)
+            buf = io.StringIO()
+            samples.to_jsonl(buf)
+            lines = buf.getvalue().splitlines()[:-1]
+            assert len(lines) == 6
+            for b, line in enumerate(lines):
+                rec = {"iter": 6 + b, "beta": float(samples.beta[b]),
+                       "eta0": float(samples.eta0[b]), "eta1": float(samples.eta1[b]),
+                       "T": int(samples.T[b]),
+                       "z": "".join(map(str, samples.z[b].tolist())),
+                       "tree_edges": samples.tree_edges[b].tolist()}
+                assert line == json.dumps(rec)
 
     def test_jsonl_trailer_holds_exact_mrf_horizons(self, lattice22, obs22, monkeypatch):
         monkeypatch.setattr(graph, "DOS_MAX_ENTRIES", 0)  # the exchange move, with CFTP

@@ -23,6 +23,7 @@ PINNED = [
     "rooted 9d7030ce7e8210d7",
     "orient 0bc72328185db55e",
     "dos 187fc1c74bd6639b",
+    "sweep 895827523ef3fb0c",
 ]
 
 

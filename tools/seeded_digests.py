@@ -61,6 +61,17 @@ dtype of density_of_states for 3x3, 6x6 and 8x8 second order and for a
 seeded 12-vertex random graph (each pair an edge with probability 0.3,
 drawn by default_rng(7)). Above 2^53 the counts are rounded doubles, so
 the line also pins the order of the sums.
+
+The line `sweep <digest>` covers the DAG z sweep alone. On 16x16 second
+order it takes a uniform spanning tree, the rooted DAG of root 37 and the
+orientation by a uniform permutation, drawn in that order by
+default_rng(0) after the starting field and two ratings per unit; on the
+9-vertex star it takes the orientation of every edge into the centre,
+which then has in-degree 8, with the star's field and ratings drawn by
+default_rng(1). For each DAG at beta 0.3 and 1.5, from a fresh
+default_rng(7), it hashes 40 gibbs_update_z sweeps with eta (0.25, 0.75)
+from the starting field, then the generator's next uniform. Each sweep
+contributes the dtype and bytes of its field.
 """
 
 from __future__ import annotations
@@ -77,13 +88,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dagmix import LatticeSpec, McmcConfig, Observations, PriorSpec, build_lattice_nug, run_chain  # noqa: E402
 from dagmix.dags import (  # noqa: E402
+    Dag,
+    acyclic_orientation,
     posterior_spanning_tree,
     rooted_dag,
     skeleton,
     uniform_spanning_tree,
 )
 from dagmix.graph import Nug, density_of_states, load_nug, save_nug  # noqa: E402
-from dagmix.samplers import ALL_MODELS, EXACT_MRF, MDGM_AO, _dag_prior, cftp_ising  # noqa: E402
+from dagmix.model import NoiseParams  # noqa: E402
+from dagmix.samplers import (  # noqa: E402
+    ALL_MODELS,
+    EXACT_MRF,
+    MDGM_AO,
+    _dag_prior,
+    cftp_ising,
+    gibbs_update_z,
+)
 
 
 def digests():
@@ -215,6 +236,32 @@ def dos_digest():
     return h.hexdigest()[:16]
 
 
+def sweep_digest():
+    """Digest of DAG z sweeps on three lattice DAGs and a star, and each setting's next uniform."""
+    h = hashlib.sha256()
+    nug = build_lattice_nug(LatticeSpec(16, 16, "second"))
+    rng = np.random.default_rng(0)
+    z = rng.integers(0, 2, nug.n)
+    obs = Observations(rng.integers(0, 2, size=(nug.n, 2)).tolist())
+    dags = [uniform_spanning_tree(nug, rng), rooted_dag(nug, 37),
+            acyclic_orientation(nug, rng.permutation(nug.n))]
+    settings = [(nug, z, obs, dag) for dag in dags]
+    star = Nug(9, [(0, k) for k in range(1, 9)])
+    rng = np.random.default_rng(1)
+    settings.append((star, rng.integers(0, 2, 9), Observations(rng.integers(0, 2, (9, 2)).tolist()),
+                     Dag([range(1, 9)] + [[]] * 8)))
+    eta = NoiseParams(0.25, 0.75)
+    for nug, z0, obs, dag in settings:
+        for beta in (0.3, 1.5):
+            rng = np.random.default_rng(7)
+            z = z0
+            for _ in range(40):
+                z = gibbs_update_z(z, nug, dag, beta, eta, obs, rng)
+                h.update(z.dtype.str.encode() + z.tobytes())
+            h.update(repr(rng.random()).encode())
+    return h.hexdigest()[:16]
+
+
 if __name__ == "__main__":
     for model, digest in digests():
         print(f"{model} {digest}")
@@ -225,3 +272,4 @@ if __name__ == "__main__":
     print(f"rooted {rooted_digest()}")
     print(f"orient {orient_digest()}")
     print(f"dos {dos_digest()}")
+    print(f"sweep {sweep_digest()}")
